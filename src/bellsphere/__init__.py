@@ -11,7 +11,6 @@ enumeration) back every closed form.
 
 from .geometry import (
     Axis,
-    PhaseSpacePoint,
     RngStream,
     angle_delta,
     delta,
@@ -31,7 +30,6 @@ from .distributions import (
     RotatingHemispheres,
     StaticSphere,
     ensemble_mean_projection,
-    half_mean_projection,
     quad_density_normalization,
     quad_ring_mean_projection,
     sample_ensemble,
@@ -41,15 +39,11 @@ from .detectors import (
     DetectorModel,
     Direct,
     EnsembleDep,
-    MeasurementRecord,
     Sign,
     StochasticSign,
     is_pointlike,
-    measure_ensemble,
-    measure_pair,
     measure_pair_batch,
     measure_pointlike,
-    measure_sequence,
     model_from_name,
     model_name,
     outcome_probabilities,
@@ -93,9 +87,7 @@ __all__ = [
     "FullSphere",
     "Hemisphere",
     "JointTable",
-    "MeasurementRecord",
     "PairSource",
-    "PhaseSpacePoint",
     "QuadratureSpec",
     "Ring",
     "RngStream",
@@ -113,16 +105,12 @@ __all__ = [
     "enumerate_pointlike_E",
     "estimate_correlation",
     "fine_feasible",
-    "half_mean_projection",
     "inequality_from_joint",
     "is_pointlike",
     "is_unit",
     "lune_probability",
-    "measure_ensemble",
-    "measure_pair",
     "measure_pair_batch",
     "measure_pointlike",
-    "measure_sequence",
     "model_from_name",
     "model_name",
     "outcome_probabilities",

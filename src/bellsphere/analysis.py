@@ -5,9 +5,9 @@ The two-particle expectation E(a, b) is estimated by block-parallel Monte
 Carlo and compared against each model's closed form.  The CHSH combination
 C = (|E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|) / v_max^2 is bounded by 2
 for any model admitting a joint outcome distribution over all four axes;
-feasibility of such a joint table (Fine's criterion) is decided by a small
-linear program over the 16 outcome atoms and cross-checked against the
-eight-inequality CHSH test.
+feasibility of such a joint table (Fine's criterion) is decided by
+nonnegative least squares over the 16 outcome atoms and cross-checked
+against the eight-inequality CHSH test.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
 from .geometry import Axis, RngStream, angle_delta
 from .distributions import PairSource, StaticSphere
@@ -262,7 +262,8 @@ def sweep_chsh(
             quad,
             mode=mode,
             n=n,
-            rng=rng.split(index) if rng is not None else None,
+            # closed mode draws nothing, so it needs no child streams
+            rng=rng.split(index) if mode == "montecarlo" and rng is not None else None,
             source=source,
             block_size=block_size,
             workers=workers,
@@ -350,10 +351,12 @@ def fine_feasible(
     v_max should be multiplied by (1/4)/v_max^2 first, exactly as the CHSH
     combination normalizes them).  ``marginals`` lists (P(X = +1/2),
     P(X = -1/2)) per observable in the order (v_1a, v_1a', v_2b, v_2b').
-    Feasibility is a linear program over the 16 atoms (one normalization,
-    four correlation and eight marginal equality rows) accepted at
-    constraint residuals below 1e-9; a witness table is returned when one
-    exists.
+    Feasibility asks for a nonnegative solution of the 13 equality rows
+    over the 16 atoms (one normalization, four correlation and eight
+    marginal rows).  Nonnegative least squares returns the closest table
+    with every entry >= 0; it is accepted when its largest row residual is
+    at most 1e-9, the single tolerance of this decision, and returned as
+    the witness.
     """
     correlations = [float(e) for e in correlations]
     marginals = [float(p) for p in marginals]
@@ -369,21 +372,16 @@ def fine_feasible(
                 f"marginals for observable {obs_axis} sum to {pair_sum!r}, not 1"
             )
     a_eq, b_eq = _feasibility_system(correlations, marginals)
-    result = linprog(
-        np.zeros(16), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs"
-    )
-    if result.status != 0:
+    x, _ = nnls(a_eq, b_eq)
+    if float(np.max(np.abs(a_eq @ x - b_eq))) > 1e-9:
         return False, None
-    residual = float(np.max(np.abs(a_eq @ result.x - b_eq)))
-    if residual > 1e-9:
-        return False, None
-    return True, JointTable(np.clip(result.x, 0.0, 1.0).reshape(2, 2, 2, 2))
+    return True, JointTable(x.reshape(2, 2, 2, 2))
 
 
 def chsh_inequalities_hold(correlations, v_max: float = 0.5, slack: float = 1e-9) -> bool:
     """Direct check of the eight CHSH sign variants:
     |+-E_ab +- E_ab' +- E_a'b +- E_a'b'| <= 2 v_max^2 for every odd number
-    of minus signs.  Independent of the linear-programming route on purpose.
+    of minus signs.  Independent of the least-squares route on purpose.
     """
     e = [float(x) for x in correlations]
     bound = 2.0 * v_max**2

@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +32,7 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 SEED_ENV_VAR = "BELLSPHERE_SEED"
+SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
 
 CORRELATION_COLUMNS = (
     "model",
@@ -57,7 +57,7 @@ def parse_angle(text: str) -> float:
 
     The fraction is evaluated first and multiplied by pi once, so grid
     angles like ``3pi/4`` land on exact multiples of the float pi.
-    Results are normalized into [0, 2 pi).
+    Results are normalized into [0, 2 pi); ``nan`` and ``inf`` are rejected.
     """
     try:
         value = float(text)
@@ -71,6 +71,8 @@ def parse_angle(text: str) -> float:
         if denominator == 0.0:
             raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
         value = sign * (numerator / denominator) * math.pi
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
     value %= TWO_PI
     if value >= TWO_PI:
         value -= TWO_PI
@@ -79,46 +81,6 @@ def parse_angle(text: str) -> float:
 
 def parse_angle_list(text: str) -> list[float]:
     return [parse_angle(part) for part in text.split(",") if part.strip()]
-
-
-@dataclass
-class RunConfig:
-    """Resolved options shared by the data-producing commands."""
-
-    model: str
-    seed: int
-    trials: int
-    workers: int
-    block_size: int
-    angles: list[float]
-    output_path: Path | None
-    fmt: str
-    p_hi: float = 0.75
-    source: str = "sphere"
-
-    def detector(self):
-        return detectors.model_from_name(self.model, self.p_hi)
-
-    def pair_source(self):
-        return _source_from_name(self.source)
-
-    def rng(self) -> RngStream:
-        return RngStream(self.seed)
-
-
-def _config_from_args(args, angles: list[float]) -> RunConfig:
-    return RunConfig(
-        model=args.model,
-        seed=_resolve_seed(args.seed),
-        trials=args.trials,
-        workers=args.workers,
-        block_size=args.block_size,
-        angles=angles,
-        output_path=args.out,
-        fmt=args.fmt,
-        p_hi=args.p_hi,
-        source=args.source,
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,9 +105,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    # RFC 8259 has no nan or infinity: non-finite floats are written as null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _render(columns, rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([{c: row[c] for c in columns} for row in rows], indent=2) + "\n"
+        objects = [{c: _json_cell(row[c]) for c in columns} for row in rows]
+        return json.dumps(objects, indent=2, allow_nan=False) + "\n"
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     lines = [f"# generated_at={stamp}", ",".join(columns)]
     lines.extend(",".join(_format_cell(row[c]) for c in columns) for row in rows)
@@ -200,18 +170,17 @@ def _chsh_row(result: analysis.ChshResult) -> dict:
 
 
 def cmd_correlate(args) -> int:
-    config = _config_from_args(args, [args.theta_a, args.theta_b])
     record = analysis.estimate_correlation(
-        config.detector(),
-        config.pair_source(),
-        config.angles[0],
-        config.angles[1],
-        config.trials,
-        config.rng(),
-        block_size=config.block_size,
-        workers=config.workers,
+        detectors.model_from_name(args.model, args.p_hi),
+        _source_from_name(args.source),
+        args.theta_a,
+        args.theta_b,
+        args.trials,
+        RngStream(_resolve_seed(args.seed)),
+        block_size=args.block_size,
+        workers=args.workers,
     )
-    _emit(CORRELATION_COLUMNS, [_correlation_row(record)], config.output_path, config.fmt)
+    _emit(CORRELATION_COLUMNS, [_correlation_row(record)], args.out, args.fmt)
     return EXIT_OK
 
 
@@ -219,44 +188,45 @@ def cmd_chsh(args) -> int:
     angles = parse_angle_list(args.angles)
     if len(angles) != 4:
         raise _UsageError("--angles needs exactly four comma-separated angles")
-    config = _config_from_args(args, angles)
     result = analysis.chsh(
-        config.detector(),
-        tuple(config.angles),
+        detectors.model_from_name(args.model, args.p_hi),
+        tuple(angles),
         mode=args.mode,
-        n=config.trials,
-        rng=config.rng(),
-        source=config.pair_source(),
-        block_size=config.block_size,
-        workers=config.workers,
+        n=args.trials,
+        rng=RngStream(_resolve_seed(args.seed)),
+        source=_source_from_name(args.source),
+        block_size=args.block_size,
+        workers=args.workers,
     )
-    _emit(CHSH_COLUMNS, [_chsh_row(result)], config.output_path, config.fmt)
+    _emit(CHSH_COLUMNS, [_chsh_row(result)], args.out, args.fmt)
     _summary(
         f"C = {result.c_value:.9g} (v_max = {result.v_max:.9g}, "
         f"violated = {_format_cell(result.violated)})",
-        config.output_path,
+        args.out,
     )
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args, [args.step])
+    # every result is kept in memory, so the grid is capped at 16^4 quadruples
+    if args.step < math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
+        raise _UsageError(f"--step must be at least pi/{SWEEP_MAX_STEPS}")
     best, results = analysis.sweep_chsh(
-        config.detector(),
+        detectors.model_from_name(args.model, args.p_hi),
         args.step,
         mode=args.mode,
-        n=config.trials,
-        rng=config.rng(),
-        source=config.pair_source(),
-        block_size=config.block_size,
-        workers=config.workers,
+        n=args.trials,
+        rng=RngStream(_resolve_seed(args.seed)),
+        source=_source_from_name(args.source),
+        block_size=args.block_size,
+        workers=args.workers,
     )
-    _emit(CHSH_COLUMNS, [_chsh_row(r) for r in results], config.output_path, config.fmt)
+    _emit(CHSH_COLUMNS, [_chsh_row(r) for r in results], args.out, args.fmt)
     _summary(
         f"max C = {best.c_value:.9g} at angles "
         f"({best.a:.9g}, {best.b:.9g}, {best.a_prime:.9g}, {best.b_prime:.9g}), "
         f"violated = {_format_cell(best.violated)}",
-        config.output_path,
+        args.out,
     )
     return EXIT_OK
 
@@ -414,8 +384,11 @@ def _check_mean_preservation(rng: RngStream):
         if i < 5:  # Monte Carlo spot checks
             u = rng.split(300 + i).uniform(n)
             sampled = np.where(u < p_plus, 0.5, -0.5)
-            spread = max(float(np.std(sampled)), 1e-12)
-            worst_z = max(worst_z, abs(float(np.mean(sampled)) - mean) / (spread / math.sqrt(n)))
+            # the outcome's own spread, not the sample's: when every draw
+            # agrees the sample spread is 0 although p_minus is not
+            diff = abs(float(np.mean(sampled)) - mean)
+            z = diff / math.sqrt(p_plus * p_minus / n) if diff > 0.0 else 0.0
+            worst_z = max(worst_z, z)
     ok = worst_closed <= 1e-12 and worst_z <= 5.0
     return ok, f"closed residual {worst_closed:.3g} (tol 1e-12), max |z| = {worst_z:.2f}"
 
@@ -647,10 +620,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"bellsphere: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, argparse.ArgumentTypeError, ValueError) as exc:
         print(f"bellsphere: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -23,7 +23,6 @@ import numpy as np
 from .geometry import Axis, RngStream, delta, project
 from .distributions import (
     Ensemble,
-    FullSphere,
     Hemisphere,
     PairSource,
     Ring,
@@ -100,45 +99,25 @@ def model_from_name(name: str, p_hi: float = 0.75) -> DetectorModel:
     raise ValueError(f"unknown detector model {name!r}")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One step of an ensemble measurement sequence.
-
-    ``delta_mean_projection`` is the direct difference
-    mean(post, axis) - mean(pre, axis); an alternative bookkeeping of the
-    same quantity is provided by :func:`projection_delta_alt_form` (the two
-    disagree, and the CLI reports both).
-    """
-
-    axis: Axis
-    outcome: float
-    pre_ensemble: Ensemble
-    post_ensemble: Ensemble
-    delta_mean_projection: float
-
-
 def measure_pointlike(model: DetectorModel, j, axis: Axis, rng: RngStream | None = None):
-    """Measure vector(s) ``j`` with a point-like detector.
+    """Measure a batch of vectors ``j`` (n, 3) with a point-like detector.
 
-    Accepts one vector (3,) or a batch (n, 3); outcomes come back as a
-    float or an (n,) array.  ``rng`` is only consumed by StochasticSign.
+    Returns the (n,) outcomes.  ``rng`` is only consumed by StochasticSign.
     """
     if not is_pointlike(model):
         raise TypeError(
             "measure_pointlike needs a point-like model; the ensemble "
-            "detector is driven through measure_ensemble/measure_pair"
+            "detector is driven through sequence_outcomes/measure_pair_batch"
         )
     p = project(j, axis)
     if isinstance(model, Direct):
         return p
-    base = np.where(np.asarray(p) >= 0.0, 0.5, -0.5)
+    base = np.where(p >= 0.0, 0.5, -0.5)
     if isinstance(model, Sign):
-        return float(base) if np.isscalar(p) else base
+        return base
     if rng is None:
         raise ValueError("StochasticSign needs an RngStream")
-    u = rng.uniform(None if np.isscalar(p) else np.shape(p))
-    out = np.where(np.asarray(u) < model.p_hi, base, -base)
-    return float(out) if np.isscalar(p) else out
+    return np.where(rng.uniform(p.shape) < model.p_hi, base, -base)
 
 
 def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]:
@@ -152,43 +131,6 @@ def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]
     p_plus = 0.5 + ensemble_mean_projection(ensemble, axis)
     p_plus = min(max(p_plus, 0.0), 1.0)
     return p_plus, 1.0 - p_plus
-
-
-def measure_ensemble(
-    ensemble: Ensemble, axis: Axis, rng: RngStream
-) -> tuple[float, Ensemble]:
-    """One ensemble measurement: returns (outcome, post ensemble).
-
-    The post ensemble is always the hemisphere about the measured axis on
-    the side selected by the outcome, so re-measuring the same axis
-    reproduces the outcome with certainty.
-    """
-    p_plus, _ = outcome_probabilities(ensemble, axis)
-    outcome = 0.5 if rng.uniform() < p_plus else -0.5
-    post = Hemisphere(axis, 1 if outcome > 0 else -1)
-    return outcome, post
-
-
-def measure_sequence(
-    e0: Ensemble, axes, rng: RngStream
-) -> list[MeasurementRecord]:
-    """Fold ensemble measurements over ``axes``, recording each step."""
-    records = []
-    current = e0
-    for axis in axes:
-        pre_mean = ensemble_mean_projection(current, axis)
-        outcome, post = measure_ensemble(current, axis, rng)
-        records.append(
-            MeasurementRecord(
-                axis=axis,
-                outcome=outcome,
-                pre_ensemble=current,
-                post_ensemble=post,
-                delta_mean_projection=ensemble_mean_projection(post, axis) - pre_mean,
-            )
-        )
-        current = post
-    return records
 
 
 def projection_delta_alt_form(pre: Ensemble, axis: Axis, outcome: float) -> float:
@@ -232,10 +174,16 @@ def sequence_outcomes(
     return out
 
 
-def measure_pair(
-    model: DetectorModel, source: PairSource, a: Axis, b: Axis, rng: RngStream
-) -> tuple[float, float]:
-    """Measure one correlated pair; particle 1 along ``a``, particle 2 along ``b``.
+def measure_pair_batch(
+    model: DetectorModel,
+    source: PairSource,
+    a: Axis,
+    b: Axis,
+    n: int,
+    rng: RngStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``n`` correlated pairs; particle 1 along ``a``, particle 2
+    along ``b``.  Returns two (n,) outcome arrays.
 
     Point-like models draw (j1, j2) from the source and measure each vector
     locally.  The ensemble detector instead measures particle 1 from the
@@ -245,26 +193,6 @@ def measure_pair(
     emitted statistics of both sources coincide with the full-sphere
     ensemble.)
     """
-    if isinstance(model, EnsembleDep):
-        o1, post1 = measure_ensemble(FullSphere(), a, rng)
-        partner = Hemisphere(a, -post1.sign)
-        o2, _ = measure_ensemble(partner, b, rng)
-        return o1, o2
-    j1, j2 = sample_pair(source, rng)
-    o1 = measure_pointlike(model, j1, a, rng)
-    o2 = measure_pointlike(model, j2, b, rng)
-    return float(o1), float(o2)
-
-
-def measure_pair_batch(
-    model: DetectorModel,
-    source: PairSource,
-    a: Axis,
-    b: Axis,
-    n: int,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`measure_pair`: two (n,) outcome arrays."""
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
         o1 = np.where(draws[:, 0] < 0.5, 0.5, -0.5)
@@ -276,4 +204,4 @@ def measure_pair_batch(
     j1, j2 = sample_pair(source, rng, n)
     o1 = measure_pointlike(model, j1, a, rng)
     o2 = measure_pointlike(model, j2, b, rng)
-    return np.asarray(o1, dtype=float), np.asarray(o2, dtype=float)
+    return o1, o2

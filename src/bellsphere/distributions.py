@@ -20,6 +20,7 @@ from .geometry import (
     TWO_PI,
     Axis,
     RngStream,
+    _rotate_from_frame,
     angle_delta,
     delta,
     project,
@@ -69,8 +70,8 @@ class Ring:
 Ensemble = FullSphere | Hemisphere | Ring
 
 
-def sample_ensemble(ensemble: Ensemble, rng: RngStream, n: int | None = None):
-    """Draw unit vectors from an ensemble (shape (3,) or (n, 3))."""
+def sample_ensemble(ensemble: Ensemble, rng: RngStream, n: int) -> np.ndarray:
+    """Draw ``n`` unit vectors from an ensemble as an (n, 3) array."""
     if isinstance(ensemble, FullSphere):
         return sample_sphere(rng, n)
     if isinstance(ensemble, Hemisphere):
@@ -93,23 +94,6 @@ def ensemble_mean_projection(ensemble: Ensemble, b: Axis) -> float:
         return 0.5 * ensemble.sign * math.cos(delta(ensemble.axis, b))
     if isinstance(ensemble, Ring):
         return ensemble.jz0 * math.cos(angle_delta(0.0, b.theta))
-    raise TypeError(f"not an ensemble: {ensemble!r}")
-
-
-def half_mean_projection(ensemble: Ensemble, b: Axis, side: int) -> float:
-    """Mean of the projection restricted to one sign side of axis ``b``.
-
-    This is the step-function moment <H(side * J_b) J_b>; the two sides sum
-    to the full ensemble mean.  Defined for the sphere and hemispheres only.
-    """
-    if side not in (-1, 1):
-        raise ValueError(f"side must be -1 or +1, got {side!r}")
-    if isinstance(ensemble, FullSphere):
-        return side * 0.25
-    if isinstance(ensemble, Hemisphere):
-        return (ensemble.sign * math.cos(delta(ensemble.axis, b)) + side) / 4.0
-    if isinstance(ensemble, Ring):
-        raise ValueError("half_mean_projection is undefined for ring ensembles")
     raise TypeError(f"not an ensemble: {ensemble!r}")
 
 
@@ -220,27 +204,18 @@ class RotatingHemispheres:
 PairSource = StaticSphere | RotatingHemispheres
 
 
-def sample_pair(source: PairSource, rng: RngStream, n: int | None = None):
-    """Draw anti-correlated pairs; returns (j1, j2) with j2 = -j1 exactly."""
+def sample_pair(source: PairSource, rng: RngStream, n: int):
+    """Draw ``n`` anti-correlated pairs; returns (j1, j2), each (n, 3), with
+    j2 = -j1 exactly."""
     if isinstance(source, StaticSphere):
         j1 = sample_sphere(rng, n)
         return j1, -j1
     if isinstance(source, RotatingHemispheres):
-        scalar = n is None
-        draws = np.atleast_2d(rng.uniform((1 if scalar else n, 4)))
+        draws = rng.uniform((n, 4))
         beta = TWO_PI * draws[:, 0]
         side = np.where(draws[:, 1] < 0.5, 1.0, -1.0)
         zf = side * (1.0 - draws[:, 2])
         az = TWO_PI * draws[:, 3]
-        rf = np.sqrt(np.maximum(1.0 - zf * zf, 0.0))
-        xf = rf * np.cos(az)
-        yf = rf * np.sin(az)
-        sin_b = np.sin(beta)
-        cos_b = np.cos(beta)
-        j1 = np.stack(
-            [xf, zf * sin_b + yf * cos_b, zf * cos_b - yf * sin_b], axis=-1
-        )
-        if scalar:
-            j1 = j1[0]
+        j1 = _rotate_from_frame(zf, az, np.sin(beta), np.cos(beta))
         return j1, -j1
     raise TypeError(f"not a pair source: {source!r}")

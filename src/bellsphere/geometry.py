@@ -104,29 +104,6 @@ def delta(a: Axis, b: Axis) -> float:
     return angle_delta(a.theta, b.theta)
 
 
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """Canonical coordinates (theta, phi) on the sphere plus conjugate momenta.
-
-    Houses the defining relations J_z = p_phi and
-    J^2 = p_theta^2 + p_phi^2 / sin^2(theta).
-    """
-
-    theta: float
-    phi: float
-    p_theta: float
-    p_phi: float
-
-    def j_z(self) -> float:
-        return self.p_phi
-
-    def j_squared(self) -> float:
-        s = math.sin(self.theta)
-        if s == 0.0:
-            return math.inf if self.p_phi != 0.0 else self.p_theta**2
-        return self.p_theta**2 + (self.p_phi / s) ** 2
-
-
 def project(j, axis: Axis):
     """Projection of j onto the axis: j . (0, sin theta, cos theta).
 
@@ -144,24 +121,32 @@ def is_unit(j, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(norms - 1.0) < tol))
 
 
-def sample_sphere(rng: RngStream, n: int | None = None):
-    """Uniform unit vectors: z = 2u - 1, azimuth = 2 pi v.
-
-    Returns one (3,) vector when ``n`` is None, else an (n, 3) array.
-    Calling this n times with n=None consumes the stream exactly like one
-    batched call, so both paths yield identical vectors.
-    """
-    scalar = n is None
-    draws = np.atleast_2d(rng.uniform((1 if scalar else n, 2)))
+def sample_sphere(rng: RngStream, n: int) -> np.ndarray:
+    """``n`` uniform unit vectors as an (n, 3) array: z = 2u - 1, azimuth = 2 pi v."""
+    draws = rng.uniform((n, 2))
     z = 2.0 * draws[:, 0] - 1.0
     az = TWO_PI * draws[:, 1]
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    out = np.stack([r * np.cos(az), r * np.sin(az), z], axis=-1)
-    return out[0] if scalar else out
+    return np.stack([r * np.cos(az), r * np.sin(az), z], axis=-1)
 
 
-def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int | None = None):
-    """Uniform on the hemisphere where sign * project(j, axis) > 0.
+def _rotate_from_frame(zf, az, sin_t, cos_t) -> np.ndarray:
+    """Unit vectors with frame height ``zf`` and frame azimuth ``az``, with
+    the frame's z axis turned onto the plane axis (0, sin t, cos t).
+
+    ``sin_t`` and ``cos_t`` are one axis (scalars) or one axis per vector
+    (arrays broadcasting against ``zf``); returns an (n, 3) array.
+    """
+    rf = np.sqrt(np.maximum(1.0 - zf * zf, 0.0))
+    xf = rf * np.cos(az)
+    yf = rf * np.sin(az)
+    return np.stack(
+        [xf, zf * sin_t + yf * cos_t, zf * cos_t - yf * sin_t], axis=-1
+    )
+
+
+def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int) -> np.ndarray:
+    """``n`` vectors uniform on the hemisphere where sign * project(j, axis) > 0.
 
     Sampled in the hemisphere's own frame and rotated into place; the frame
     z-coordinate is drawn in (0, 1], so the support constraint holds
@@ -169,32 +154,21 @@ def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int | None = Non
     """
     if sign not in (-1, 1):
         raise ValueError(f"hemisphere sign must be -1 or +1, got {sign!r}")
-    scalar = n is None
-    draws = np.atleast_2d(rng.uniform((1 if scalar else n, 2)))
+    draws = rng.uniform((n, 2))
     zf = sign * (1.0 - draws[:, 0])
     az = TWO_PI * draws[:, 1]
-    rf = np.sqrt(np.maximum(1.0 - zf * zf, 0.0))
-    xf = rf * np.cos(az)
-    yf = rf * np.sin(az)
-    sin_t = math.sin(axis.theta)
-    cos_t = math.cos(axis.theta)
-    out = np.stack(
-        [xf, zf * sin_t + yf * cos_t, zf * cos_t - yf * sin_t], axis=-1
-    )
-    return out[0] if scalar else out
+    return _rotate_from_frame(zf, az, math.sin(axis.theta), math.cos(axis.theta))
 
 
-def sample_ring(j0: float, jz0: float, rng: RngStream, n: int | None = None):
-    """Unit vectors with z fixed at jz0/j0 and uniform azimuth."""
+def sample_ring(j0: float, jz0: float, rng: RngStream, n: int) -> np.ndarray:
+    """``n`` unit vectors with z fixed at jz0/j0 and uniform azimuth."""
     if j0 <= 0.0:
         raise ValueError(f"ring magnitude j0 must be positive, got {j0!r}")
     if abs(jz0) > j0:
         raise ValueError(f"|jz0| <= j0 required, got jz0={jz0!r}, j0={j0!r}")
-    scalar = n is None
     z = jz0 / j0
     r = math.sqrt(max(1.0 - z * z, 0.0))
-    az = TWO_PI * np.atleast_1d(rng.uniform(1 if scalar else n))
-    out = np.stack(
+    az = TWO_PI * rng.uniform(n)
+    return np.stack(
         [r * np.cos(az), r * np.sin(az), np.full_like(az, z)], axis=-1
     )
-    return out[0] if scalar else out

@@ -210,6 +210,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_chsh(Sign(), 0.3)
 
+    def test_closed_sweep_splits_no_streams(self):
+        class NoSplit(RngStream):
+            __slots__ = ()
+
+            def split(self, index):
+                raise AssertionError("closed mode draws nothing")
+
+        best, results = sweep_chsh(Sign(), math.pi / 4, rng=NoSplit(1))
+        assert len(results) == 4**4
+        assert best.c_value == pytest.approx(2.0, abs=1e-9)
+
 
 class TestJointTable:
     def test_uniform_table(self):
@@ -300,6 +311,25 @@ class TestFineFeasible:
         with pytest.raises(ValueError):
             fine_feasible([0.0] * 3, HALF_MARGINALS)
 
+    def test_pushed_boundary_maxima_decided_like_inequalities(self):
+        # the sign model's C = 2 maxima on the pi/4 grid, pushed just inside
+        # and just outside the boundary (beyond the 1e-9 residual tolerance)
+        grid = [i * math.pi / 4 for i in range(4)]
+        maxima = set()
+        for quad in itertools.product(grid, repeat=4):
+            es = [e_closed(Sign(), ta, tb) for ta, tb in pair_angles(quad)]
+            if abs(chsh(Sign(), quad).c_value - 2.0) < 1e-12:
+                maxima.add(tuple(round(e, 12) for e in es))
+        assert len(maxima) == 36
+        for es in maxima:
+            for scale in (1 - 1e-7, 1 - 1e-8, 1 + 1e-8, 1 + 1e-7):
+                pushed = [scale * e for e in es]
+                feasible, table = fine_feasible(pushed, HALF_MARGINALS)
+                assert feasible == chsh_inequalities_hold(pushed, slack=0.0), pushed
+                if feasible:
+                    assert table.probs.min() >= 0.0
+                    assert table.correlations() == pytest.approx(tuple(pushed), abs=1e-9)
+
     def test_chsh_inequality_checker_boundary(self):
         assert chsh_inequalities_hold([0.125, -0.125, 0.125, 0.125])
         assert not chsh_inequalities_hold([0.2, -0.2, 0.2, 0.2])
@@ -313,7 +343,7 @@ def test_pointlike_closed_forms_feasible_on_fine_grid(model):
     Direct-model correlations live on the v_max = 1 scale and are rescaled
     into the +-1/2 table scale first, exactly as the CHSH combination
     normalizes them.  Quadruples sharing the same correlation vector are
-    deduplicated before hitting the LP; the decision for one representative
+    deduplicated before reaching the solver; the decision for one representative
     covers them all.
     """
     scale = 0.25 / v_max(model) ** 2

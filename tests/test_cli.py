@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import bellsphere.oracles
-from bellsphere.cli import main, parse_angle, run_verification
+from bellsphere.cli import _check_mean_preservation, main, parse_angle, run_verification
+from bellsphere.geometry import RngStream
 
 
 def run_cli(*args, env_extra=None):
@@ -21,6 +22,13 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def data_rows(csv_text):
@@ -49,6 +57,9 @@ class TestParseAngle:
             parse_angle("tau/4")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_angle("pi/0")
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_angle(text)
 
 
 class TestCorrelate:
@@ -82,6 +93,23 @@ class TestCorrelate:
         )
         assert result.returncode == 1
 
+    def test_non_finite_angle_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlate", "--model", "sign", "--theta-a", "nan", "--theta-b", "0"])
+        assert exc.value.code == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_json_writes_non_finite_as_null(self, capsys):
+        # one trial: std_err is 0 while e_hat != e_closed, so z is infinite
+        code = main(
+            ["correlate", "--model", "stochastic", "--theta-a", "0", "--theta-b", "0",
+             "--trials", "1", "--format", "json"]
+        )
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload[0]["std_err"] == 0.0
+        assert payload[0]["z_score"] is None
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "row.json"
         result = run_cli(
@@ -89,7 +117,7 @@ class TestCorrelate:
             "--trials", "2000", "--seed", "3", "--format", "json", "--out", str(out),
         )
         assert result.returncode == 0
-        payload = json.loads(out.read_text())
+        payload = strict_json(out.read_text())
         assert isinstance(payload, list) and len(payload) == 1
         assert payload[0]["model"] == "sign"
         assert payload[0]["n_trials"] == 2000
@@ -130,6 +158,18 @@ class TestChshAndSweep:
     def test_chsh_wrong_angle_count(self):
         result = run_cli("chsh", "--model", "sign", "--angles", "0,pi/4")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("angles", ["0,0,0,inf", "0,0,0,foo"])
+    def test_chsh_bad_angle_is_usage_error(self, angles, capsys):
+        assert main(["chsh", "--model", "sign", "--angles", angles]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bellsphere: error:" in captured.err
+
+    @pytest.mark.parametrize("step", ["pi/17", "pi/64", "0"])
+    def test_sweep_grid_finer_than_pi_16_rejected(self, step, capsys):
+        assert main(["sweep", "--model", "sign", "--step", step]) == 1
+        assert "pi/16" in capsys.readouterr().err
 
     def test_sweep_sign_boundary(self):
         result = run_cli("sweep", "--model", "sign", "--step", "pi/8", "--mode", "closed")
@@ -174,6 +214,10 @@ class TestSequential:
         )
         assert "tree oracle=-0.125000" in result.stdout
 
+    def test_bad_axis_is_usage_error(self, capsys):
+        assert main(["sequential", "--axes", "0,foo"]) == 1
+        assert "cannot parse angle" in capsys.readouterr().err
+
     def test_repeated_axis_outcomes_certain(self):
         result = run_cli(
             "sequential", "--axes", "0,0,0", "--seed", "5", "--trials", "5000"
@@ -192,6 +236,14 @@ class TestVerify:
         assert "enumeration oracle = -0.0625" in result.stdout
         assert "alt form = -0.125" in result.stdout
         assert "verification PASSED" in result.stdout
+
+    @pytest.mark.parametrize("seed", [66, 117, 151, 202, 303, 329])
+    def test_mean_preservation_passes_where_every_draw_agrees(self, seed):
+        # at these seeds a random axis lies close to the hemisphere axis, so
+        # nearly every draw agrees; z must be taken against the outcome's
+        # own spread, not the sample's
+        ok, detail = _check_mean_preservation(RngStream(seed))
+        assert ok, detail
 
     def test_report_discrepancies_prints_grid(self):
         result = run_cli(

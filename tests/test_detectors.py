@@ -15,11 +15,8 @@ from bellsphere import (
     StaticSphere,
     StochasticSign,
     ensemble_mean_projection,
-    measure_ensemble,
-    measure_pair,
     measure_pair_batch,
     measure_pointlike,
-    measure_sequence,
     model_from_name,
     model_name,
     outcome_probabilities,
@@ -58,23 +55,23 @@ class TestModelPlumbing:
 
 class TestPointlike:
     def test_direct_returns_projection(self):
-        assert measure_pointlike(Direct(), Z_AXIS, Axis(math.pi / 3)) == (
-            pytest.approx(0.5)
+        assert measure_pointlike(Direct(), Z_AXIS[None], Axis(math.pi / 3)) == (
+            pytest.approx([0.5])
         )
 
     def test_sign_thresholds(self):
-        assert measure_pointlike(Sign(), Z_AXIS, Axis(0.0)) == 0.5
-        assert measure_pointlike(Sign(), -Z_AXIS, Axis(0.0)) == -0.5
+        assert measure_pointlike(Sign(), Z_AXIS[None], Axis(0.0)).tolist() == [0.5]
+        assert measure_pointlike(Sign(), -Z_AXIS[None], Axis(0.0)).tolist() == [-0.5]
 
     def test_zero_projection_counts_as_positive(self):
         # x is orthogonal to the measurement plane: projection is exactly 0
-        x = np.array([1.0, 0.0, 0.0])
-        assert measure_pointlike(Sign(), x, Axis(1.0)) == 0.5
+        x = np.array([[1.0, 0.0, 0.0]])
+        assert measure_pointlike(Sign(), x, Axis(1.0)).tolist() == [0.5]
 
     def test_sign_outcomes_are_pure_in_the_vector(self):
-        j = np.array([0.0, 0.6, -0.8])
+        j = np.array([[0.0, 0.6, -0.8]])
         a = Axis(2.0)
-        assert measure_pointlike(Sign(), j, a) == measure_pointlike(Sign(), j, a)
+        assert np.array_equal(measure_pointlike(Sign(), j, a), measure_pointlike(Sign(), j, a))
 
     def test_stochastic_agreement_frequency(self):
         js = np.tile(Z_AXIS, (1_000_000, 1))
@@ -90,7 +87,7 @@ class TestPointlike:
 
     def test_ensemble_model_is_rejected(self):
         with pytest.raises(TypeError):
-            measure_pointlike(EnsembleDep(), Z_AXIS, Axis(0.0), RngStream(1))
+            measure_pointlike(EnsembleDep(), Z_AXIS[None], Axis(0.0), RngStream(1))
 
 
 class TestEnsembleMeasurement:
@@ -123,11 +120,8 @@ class TestEnsembleMeasurement:
 
     def test_aligned_measurement_is_certain(self):
         a = Axis(0.8)
-        rng = RngStream(43)
-        for _ in range(200):
-            outcome, post = measure_ensemble(Hemisphere(a, 1), a, rng)
-            assert outcome == 0.5
-            assert post == Hemisphere(a, 1)
+        outcomes = sequence_outcomes(Hemisphere(a, 1), [a], 200, RngStream(43))
+        assert np.all(outcomes == 0.5)
 
     def test_branch_probability_at_sixty_degrees(self):
         e0 = Hemisphere(Axis(0.0), 1)
@@ -142,40 +136,27 @@ class TestEnsembleMeasurement:
 
     def test_ring_rejected(self):
         with pytest.raises(ValueError):
-            measure_ensemble(Ring(1.0, 0.5), Axis(0.0), RngStream(1))
+            sequence_outcomes(Ring(1.0, 0.5), [Axis(0.0)], 1, RngStream(1))
 
     def test_repeatability(self):
-        rng = RngStream(46)
         a = Axis(1.4)
-        for _ in range(200):
-            records = measure_sequence(FullSphere(), [a, a, a], rng)
-            outcomes = {r.outcome for r in records}
-            assert len(outcomes) == 1
+        outcomes = sequence_outcomes(FullSphere(), [a, a, a], 200, RngStream(46))
+        assert np.array_equal(outcomes[1], outcomes[0])
+        assert np.array_equal(outcomes[2], outcomes[0])
 
 
 class TestMeasureSequence:
-    def test_records_chain_ensembles(self):
-        axes = [Axis(0.0), Axis(1.0)]
-        records = measure_sequence(Hemisphere(Axis(0.0), 1), axes, RngStream(47))
-        assert records[0].post_ensemble == records[1].pre_ensemble
-        assert isinstance(records[1].post_ensemble, Hemisphere)
-        assert records[1].post_ensemble.axis == axes[1]
-
     def test_delta_bookkeeping_values(self):
         # from the + hemisphere about 0, measuring pi/3: post mean is +-1/2,
         # pre mean is cos(pi/3)/2 = 1/4
         e0 = Hemisphere(Axis(0.0), 1)
         b = Axis(math.pi / 3)
-        rng = RngStream(48)
-        seen = set()
-        for _ in range(100):
-            record = measure_sequence(e0, [b], rng)[0]
-            seen.add(record.outcome)
-            if record.outcome > 0:
-                assert record.delta_mean_projection == pytest.approx(0.25)
-            else:
-                assert record.delta_mean_projection == pytest.approx(-0.75)
-        assert seen == {0.5, -0.5}
+        outcomes = sequence_outcomes(e0, [b], 100, RngStream(48))
+        assert set(outcomes[0].tolist()) == {0.5, -0.5}
+        # each outcome selects the hemisphere about b on its side
+        pre_mean = ensemble_mean_projection(e0, b)
+        assert ensemble_mean_projection(Hemisphere(b, 1), b) - pre_mean == pytest.approx(0.25)
+        assert ensemble_mean_projection(Hemisphere(b, -1), b) - pre_mean == pytest.approx(-0.75)
 
     def test_alt_form_disagrees_with_direct_difference(self):
         e0 = Hemisphere(Axis(0.0), 1)
@@ -199,9 +180,8 @@ class TestMeasureSequence:
 
         e0 = Hemisphere(Axis(0.2), -1)
         axes = [Axis(1.0), Axis(2.4)]
-        rng = RngStream(51)
-        finals = [measure_sequence(e0, axes, rng)[-1].outcome for _ in range(20_000)]
-        assert sigma_bound(np.array(finals), sequence_tree_mean(e0, axes)) <= 5.0
+        finals = sequence_outcomes(e0, axes, 20_000, RngStream(51))[-1]
+        assert sigma_bound(finals, sequence_tree_mean(e0, axes)) <= 5.0
 
 
 class TestMeasurePair:
@@ -270,10 +250,12 @@ class TestMeasurePair:
                 assert abs(f_forward - f_reverse) <= 5.0 * se
 
     def test_scalar_pair_entry_point(self):
-        o1, o2 = measure_pair(EnsembleDep(), StaticSphere(), Axis(0.5), Axis(0.5), RngStream(59))
-        assert o1 == -o2
-        o1, o2 = measure_pair(Sign(), StaticSphere(), Axis(0.5), Axis(0.5), RngStream(60))
-        assert o1 == -o2  # exact anti-correlation on a common axis
+        # one pair is a batch of one
+        a = Axis(0.5)
+        o1, o2 = measure_pair_batch(EnsembleDep(), StaticSphere(), a, a, 1, RngStream(59))
+        assert o1.shape == (1,) and o1[0] == -o2[0]
+        o1, o2 = measure_pair_batch(Sign(), StaticSphere(), a, a, 1, RngStream(60))
+        assert o1[0] == -o2[0]  # exact anti-correlation on a common axis
 
     def test_direct_pair_bounded_outcomes(self):
         o1, o2 = measure_pair_batch(

@@ -13,7 +13,6 @@ from bellsphere import (
     RotatingHemispheres,
     StaticSphere,
     ensemble_mean_projection,
-    half_mean_projection,
     project,
     quad_density_normalization,
     quad_ring_mean_projection,
@@ -115,36 +114,6 @@ class TestEnsembles:
             assert abs(value) <= peak + 1e-15
             assert ensemble_mean_projection(Hemisphere(a, -1), b) == -value
 
-    def test_half_mean_projection_closed_forms(self):
-        a = Axis(0.7)
-        assert half_mean_projection(Hemisphere(a, 1), a, 1) == pytest.approx(0.5)
-        b = Axis(0.7 + math.pi / 2)
-        assert half_mean_projection(Hemisphere(a, 1), b, 1) == pytest.approx(0.25)
-        assert half_mean_projection(FullSphere(), Axis(0.1), 1) == 0.25
-        assert half_mean_projection(FullSphere(), Axis(0.1), -1) == -0.25
-
-    def test_half_mean_projection_rejects_ring(self):
-        with pytest.raises(ValueError):
-            half_mean_projection(Ring(1.0, 0.0), Axis(0.0), 1)
-
-    def test_sides_sum_to_full_mean_on_random_inputs(self):
-        gen = np.random.default_rng(1)
-        for _ in range(100):
-            if gen.uniform() < 0.2:
-                ensemble = FullSphere()
-            else:
-                ensemble = Hemisphere(
-                    Axis(float(gen.uniform(0, 2 * math.pi))),
-                    1 if gen.uniform() < 0.5 else -1,
-                )
-            b = Axis(float(gen.uniform(0, 2 * math.pi)))
-            total = half_mean_projection(ensemble, b, 1) + half_mean_projection(
-                ensemble, b, -1
-            )
-            assert total == pytest.approx(
-                ensemble_mean_projection(ensemble, b), abs=1e-12
-            )
-
     def test_monte_carlo_agrees_with_closed_forms(self):
         a = Axis(0.5)
         b = Axis(0.5 + 1.1)
@@ -152,10 +121,6 @@ class TestEnsembles:
         j = sample_ensemble(ensemble, RngStream(21), 400_000)
         p = project(j, b)
         assert sigma_bound(p, ensemble_mean_projection(ensemble, b)) <= 5.0
-        positive_part = np.where(p > 0, p, 0.0)
-        assert sigma_bound(positive_part, half_mean_projection(ensemble, b, 1)) <= 5.0
-        negative_part = np.where(p < 0, p, 0.0)
-        assert sigma_bound(negative_part, half_mean_projection(ensemble, b, -1)) <= 5.0
 
     def test_sample_ensemble_dispatch(self):
         assert sample_ensemble(FullSphere(), RngStream(1), 10).shape == (10, 3)
@@ -192,6 +157,6 @@ class TestPairSource:
         assert sigma_bound(prod, -math.cos(math.pi / 3) / 3.0) <= 5.0
 
     def test_scalar_draw(self):
-        j1, j2 = sample_pair(StaticSphere(), RngStream(35))
-        assert j1.shape == (3,)
+        j1, j2 = sample_pair(StaticSphere(), RngStream(35), 1)
+        assert j1.shape == (1, 3)
         assert np.array_equal(j2, -j1)
