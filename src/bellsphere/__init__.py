@@ -55,6 +55,7 @@ from .analysis import (
     ChshResult,
     CorrelationRecord,
     JointTable,
+    SweepTable,
     chsh,
     chsh_inequalities_hold,
     e_closed,
@@ -95,6 +96,7 @@ __all__ = [
     "Sign",
     "StaticSphere",
     "StochasticSign",
+    "SweepTable",
     "angle_delta",
     "chsh",
     "chsh_inequalities_hold",

@@ -172,6 +172,27 @@ def estimate_correlation(
     )
 
 
+def _require_mode(mode: str, n, rng) -> bool:
+    """Whether ``mode`` is "montecarlo", which needs ``n`` and ``rng``, or "closed"."""
+    if mode not in ("closed", "montecarlo"):
+        raise ValueError(f"mode must be 'closed' or 'montecarlo', got {mode!r}")
+    if mode == "montecarlo" and (n is None or rng is None):
+        raise ValueError("montecarlo mode needs n and rng")
+    return mode == "montecarlo"
+
+
+def _chsh_value(es, std_errs, v: float):
+    """(C, its standard error, violated) from (E_ab, E_ab', E_a'b, E_a'b') and,
+    for estimates, their standard errors; floats or NumPy arrays, which
+    round ``abs``, ``+``, ``/`` and ``sqrt`` alike."""
+    c_value = (abs(es[0] - es[1]) + abs(es[2] + es[3])) / v**2
+    if std_errs is None:
+        return c_value, None, c_value > 2.0 + CLOSED_FORM_SLACK
+    s = std_errs
+    c_std_err = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / v**2
+    return c_value, c_std_err, c_value > 2.0 + 3.0 * c_std_err
+
+
 def chsh(
     model: DetectorModel,
     angles: tuple[float, float, float, float],
@@ -191,45 +212,33 @@ def chsh(
     """
     a, b, a_prime, b_prime = angles
     pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
+    if _require_mode(mode, n, rng):
+        source = source if source is not None else StaticSphere()
+        records = [
+            estimate_correlation(
+                model, source, ta, tb, n, rng.split(i), block_size, workers
+            )
+            for i, (ta, tb) in enumerate(pairs)
+        ]
+        es, std_errs = [r.e_hat for r in records], [r.std_err for r in records]
+    else:
+        es, std_errs = [e_closed(model, ta, tb) for ta, tb in pairs], None
     v = v_max(model)
-    if mode == "closed":
-        es = [e_closed(model, ta, tb) for ta, tb in pairs]
-        c_value = (abs(es[0] - es[1]) + abs(es[2] + es[3])) / v**2
-        return ChshResult(
-            model=model_name(model),
-            a=a,
-            b=b,
-            a_prime=a_prime,
-            b_prime=b_prime,
-            c_value=c_value,
-            v_max=v,
-            violated=c_value > 2.0 + CLOSED_FORM_SLACK,
-        )
-    if mode != "montecarlo":
-        raise ValueError(f"mode must be 'closed' or 'montecarlo', got {mode!r}")
-    if n is None or rng is None:
-        raise ValueError("montecarlo mode needs n and rng")
-    source = source if source is not None else StaticSphere()
-    records = [
-        estimate_correlation(
-            model, source, ta, tb, n, rng.split(i), block_size, workers
-        )
-        for i, (ta, tb) in enumerate(pairs)
-    ]
-    es = [r.e_hat for r in records]
-    c_value = (abs(es[0] - es[1]) + abs(es[2] + es[3])) / v**2
-    c_std_err = math.sqrt(sum(r.std_err**2 for r in records)) / v**2
-    return ChshResult(
-        model=model_name(model),
-        a=a,
-        b=b,
-        a_prime=a_prime,
-        b_prime=b_prime,
-        c_value=c_value,
-        v_max=v,
-        violated=c_value > 2.0 + 3.0 * c_std_err,
-        c_std_err=c_std_err,
-    )
+    c_value, c_std_err, violated = _chsh_value(es, std_errs, v)
+    c_std_err = None if c_std_err is None else float(c_std_err)
+    return ChshResult(model_name(model), *angles, c_value, v, bool(violated), c_std_err)
+
+
+@dataclass(frozen=True)
+class SweepTable:
+    """All CHSH values of a sweep.  ``c_values`` and ``violated`` are indexed
+    by the grid positions of (a, b, a', b'); flattened in C order they follow
+    ``itertools.product(grid, repeat=4)``."""
+
+    grid: list[float]
+    c_values: np.ndarray
+    violated: np.ndarray
+    v_max: float
 
 
 def sweep_chsh(
@@ -241,37 +250,54 @@ def sweep_chsh(
     source: PairSource | None = None,
     block_size: int = 4096,
     workers: int = 1,
-) -> tuple[ChshResult, list[ChshResult]]:
+) -> tuple[ChshResult, SweepTable]:
     """Exhaustive CHSH scan over all angle quadruples on a grid of spacing
-    ``grid_step`` covering [0, pi); returns (argmax result, all results).
+    ``grid_step`` covering [0, pi); returns (first maximal result, table).
 
     The step must divide pi; correlations depend only on reduced axis
     separations, so the [0, pi) grid already realizes every quadruple of
-    separations the full circle would.
+    separations the full circle would.  Correlations come as m x m tables
+    over axis pairs, and C is broadcast over the m^4 quadruples.  Closed
+    mode uses one table.  Monte Carlo mode estimates one table per role
+    (ab, ab', a'b, a'b'), entry (i, j) of role k on
+    ``rng.split((k*m + i)*m + j)``, so a quadruple's four correlations are
+    independent experiments, as in :func:`chsh`, even when roles share axes.
     """
     ratio = math.pi / grid_step
     m = round(ratio)
     if m < 1 or abs(ratio - m) > 1e-9:
         raise ValueError(f"grid_step must divide pi, got {grid_step!r}")
     grid = [i * grid_step for i in range(m)]
-    results = []
-    best = None
-    for index, quad in enumerate(itertools.product(grid, repeat=4)):
-        result = chsh(
-            model,
-            quad,
-            mode=mode,
-            n=n,
-            # closed mode draws nothing, so it needs no child streams
-            rng=rng.split(index) if mode == "montecarlo" and rng is not None else None,
-            source=source,
-            block_size=block_size,
-            workers=workers,
-        )
-        results.append(result)
-        if best is None or result.c_value > best.c_value:
-            best = result
-    return best, results
+    if _require_mode(mode, n, rng):
+        source = source if source is not None else StaticSphere()
+        records = [
+            estimate_correlation(
+                model, source, ta, tb, n, rng.split(index), block_size, workers
+            )
+            for index, (_, ta, tb) in enumerate(itertools.product(range(4), grid, grid))
+        ]
+        roles = np.array([r.e_hat for r in records]).reshape(4, m, m)
+        std_errs = np.array([r.std_err for r in records]).reshape(4, m, m)
+    else:
+        roles = [np.array([[e_closed(model, ta, tb) for tb in grid] for ta in grid])] * 4
+        std_errs = None
+
+    def by_quadruple(t):
+        # on axes (a, b, a', b') = (i, j, k, l): E_ab[i, j], E_ab'[i, l],
+        # E_a'b[k, j] and E_a'b'[k, l]
+        return (t[0][:, :, None, None], t[1][:, None, None, :],
+                t[2].T[None, :, :, None], t[3][None, None, :, :])
+
+    v = v_max(model)
+    c_values, c_std_err, violated = _chsh_value(
+        by_quadruple(roles), None if std_errs is None else by_quadruple(std_errs), v
+    )
+    at = np.unravel_index(int(np.argmax(c_values)), c_values.shape)
+    best = ChshResult(
+        model_name(model), *(grid[i] for i in at), float(c_values[at]), v,
+        bool(violated[at]), None if c_std_err is None else float(c_std_err[at]),
+    )
+    return best, SweepTable(grid, c_values, violated, v)
 
 
 class JointTable:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -113,17 +114,19 @@ def _json_cell(value):
 
 
 def _render(columns, rows, fmt: str) -> str:
+    """Rows are sequences of cells in column order."""
     if fmt == "json":
-        objects = [{c: _json_cell(row[c]) for c in columns} for row in rows]
+        objects = [dict(zip(columns, map(_json_cell, row))) for row in rows]
         return json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    return _csv(columns, (",".join(map(_format_cell, row)) for row in rows))
+
+
+def _csv(columns, lines) -> str:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines = [f"# generated_at={stamp}", ",".join(columns)]
-    lines.extend(",".join(_format_cell(row[c]) for c in columns) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# generated_at={stamp}", ",".join(columns), *lines]) + "\n"
 
 
-def _emit(columns, rows, output_path: Path | None, fmt: str) -> None:
-    text = _render(columns, rows, fmt)
+def _emit(text: str, output_path: Path | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
     else:
@@ -143,32 +146,6 @@ def _source_from_name(name: str) -> distributions.PairSource:
     raise ValueError(f"unknown pair source {name!r}")
 
 
-def _correlation_row(record: analysis.CorrelationRecord) -> dict:
-    return {
-        "model": record.model,
-        "theta_a": record.theta_a,
-        "theta_b": record.theta_b,
-        "n_trials": record.n_trials,
-        "e_hat": record.e_hat,
-        "std_err": record.std_err,
-        "e_closed": record.e_closed,
-        "z_score": record.z_score,
-    }
-
-
-def _chsh_row(result: analysis.ChshResult) -> dict:
-    return {
-        "model": result.model,
-        "a": result.a,
-        "b": result.b,
-        "a_prime": result.a_prime,
-        "b_prime": result.b_prime,
-        "c_value": result.c_value,
-        "v_max": result.v_max,
-        "violated": result.violated,
-    }
-
-
 def cmd_correlate(args) -> int:
     record = analysis.estimate_correlation(
         detectors.model_from_name(args.model, args.p_hi),
@@ -180,7 +157,8 @@ def cmd_correlate(args) -> int:
         block_size=args.block_size,
         workers=args.workers,
     )
-    _emit(CORRELATION_COLUMNS, [_correlation_row(record)], args.out, args.fmt)
+    row = [getattr(record, c) for c in CORRELATION_COLUMNS]
+    _emit(_render(CORRELATION_COLUMNS, [row], args.fmt), args.out)
     return EXIT_OK
 
 
@@ -198,7 +176,8 @@ def cmd_chsh(args) -> int:
         block_size=args.block_size,
         workers=args.workers,
     )
-    _emit(CHSH_COLUMNS, [_chsh_row(result)], args.out, args.fmt)
+    row = [getattr(result, c) for c in CHSH_COLUMNS]
+    _emit(_render(CHSH_COLUMNS, [row], args.fmt), args.out)
     _summary(
         f"C = {result.c_value:.9g} (v_max = {result.v_max:.9g}, "
         f"violated = {_format_cell(result.violated)})",
@@ -207,11 +186,27 @@ def cmd_chsh(args) -> int:
     return EXIT_OK
 
 
+def _sweep_text(model: str, table: analysis.SweepTable, fmt: str) -> str:
+    c_values, flags = table.c_values.ravel().tolist(), table.violated.ravel().tolist()
+    if fmt == "json":
+        quads = itertools.product(table.grid, repeat=4)
+        rows = ((model, *q, c, table.v_max, f) for q, c, f in zip(quads, c_values, flags))
+        return _render(CHSH_COLUMNS, rows, fmt)
+    # the model, v_max and each grid angle are formatted once, not per row
+    quads = itertools.product([_format_cell(t) for t in table.grid], repeat=4)
+    head, tail = _format_cell(model), _format_cell(table.v_max)
+    return _csv(CHSH_COLUMNS, (
+        ",".join((head, *q, _format_cell(c), tail, _format_cell(f)))
+        for q, c, f in zip(quads, c_values, flags)
+    ))
+
+
 def cmd_sweep(args) -> int:
-    # every result is kept in memory, so the grid is capped at 16^4 quadruples
+    # the m^4 values and their rendered text are held in memory, so the grid
+    # is capped at 16^4 quadruples
     if args.step < math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
         raise _UsageError(f"--step must be at least pi/{SWEEP_MAX_STEPS}")
-    best, results = analysis.sweep_chsh(
+    best, table = analysis.sweep_chsh(
         detectors.model_from_name(args.model, args.p_hi),
         args.step,
         mode=args.mode,
@@ -221,7 +216,7 @@ def cmd_sweep(args) -> int:
         block_size=args.block_size,
         workers=args.workers,
     )
-    _emit(CHSH_COLUMNS, [_chsh_row(r) for r in results], args.out, args.fmt)
+    _emit(_sweep_text(best.model, table, args.fmt), args.out)
     _summary(
         f"max C = {best.c_value:.9g} at angles "
         f"({best.a:.9g}, {best.b:.9g}, {best.a_prime:.9g}, {best.b_prime:.9g}), "
@@ -243,6 +238,8 @@ def cmd_sequential(args) -> int:
     axes = [Axis(t) for t in parse_angle_list(args.axes)]
     if not axes:
         raise _UsageError("--axes needs at least one angle")
+    if args.trials < 2:
+        raise _UsageError("--trials must be at least 2 for a standard error")
     if args.initial == "sphere":
         e0 = distributions.FullSphere()
     else:

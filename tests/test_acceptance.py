@@ -104,10 +104,10 @@ def test_criterion_04_bell_compliance_of_pointlike_models():
     best_sign, _ = sweep_chsh(Sign(), math.pi / 8)
     assert best_sign.c_value == pytest.approx(2.0, abs=1e-9)
     assert not best_sign.violated
-    best_stoch, grid = sweep_chsh(StochasticSign(), math.pi / 8)
+    best_stoch, table = sweep_chsh(StochasticSign(), math.pi / 8)
     assert best_stoch.c_value < 2.0
     assert not best_stoch.violated
-    assert not any(r.violated for r in grid)
+    assert not table.violated.any()
     # oracle-consistent: rebuild the same maximum from the enumeration oracle
     angles = [i * math.pi / 8 for i in range(8)]
     oracle_max = 0.0

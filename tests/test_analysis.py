@@ -29,6 +29,11 @@ from bellsphere import (
 
 QUADRUPLE = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 HALF_MARGINALS = [0.5] * 8
+MODELS = st.one_of(
+    st.sampled_from([Direct(), Sign(), StochasticSign(), EnsembleDep()]),
+    st.floats(0.5, 1.0).map(StochasticSign),
+)
+ANGLES = st.floats(-20.0, 20.0)
 
 
 def pair_angles(quad):
@@ -74,6 +79,21 @@ class TestClosedForms:
             assert e_closed(model, 0.0, 3 * math.pi / 2) == pytest.approx(
                 e_closed(model, 0.0, math.pi / 2), abs=1e-12
             )
+
+
+class TestProperties:
+    @given(MODELS, ANGLES, ANGLES, ANGLES, st.integers(-50, 50))
+    def test_e_closed_depends_only_on_reduced_separation(self, model, a, b, shift, turns):
+        e = e_closed(model, a, b)
+        assert e_closed(model, b, a) == e
+        assert e_closed(model, a + shift, b + shift) == pytest.approx(e, abs=1e-12)
+        assert e_closed(model, a + turns * 2 * math.pi, b) == pytest.approx(e, abs=1e-12)
+
+    @given(MODELS, st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
+    def test_closed_chsh_bounds_off_grid(self, model, quad):
+        # Bell's bound for the point-like models, Tsirelson's for the ensemble
+        bound = 2.0 * math.sqrt(2.0) if isinstance(model, EnsembleDep) else 2.0
+        assert chsh(model, quad).c_value <= bound + 1e-9
 
 
 class TestLuneProbability:
@@ -183,8 +203,8 @@ class TestChsh:
 
 class TestSweep:
     def test_maxima_by_model(self):
-        best_direct, grid = sweep_chsh(Direct(), math.pi / 8)
-        assert len(grid) == 8**4
+        best_direct, table = sweep_chsh(Direct(), math.pi / 8)
+        assert table.c_values.size == table.violated.size == 8**4
         assert best_direct.c_value == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-9)
         best_sign, _ = sweep_chsh(Sign(), math.pi / 8)
         assert best_sign.c_value == pytest.approx(2.0, abs=1e-9)
@@ -217,9 +237,43 @@ class TestSweep:
             def split(self, index):
                 raise AssertionError("closed mode draws nothing")
 
-        best, results = sweep_chsh(Sign(), math.pi / 4, rng=NoSplit(1))
-        assert len(results) == 4**4
+        best, table = sweep_chsh(Sign(), math.pi / 4, rng=NoSplit(1))
+        assert table.c_values.size == 4**4
         assert best.c_value == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("model", [Direct(), Sign(), StochasticSign(), EnsembleDep()])
+    def test_closed_rows_equal_chsh(self, model):
+        best, table = sweep_chsh(model, math.pi / 4)
+        quads = list(itertools.product(table.grid, repeat=4))
+        results = [chsh(model, quad) for quad in quads]
+        assert table.c_values.ravel().tolist() == [r.c_value for r in results]
+        assert table.violated.ravel().tolist() == [r.violated for r in results]
+        assert table.v_max == v_max(model)
+        # the first row with the largest C, as a strict > scan finds it
+        first = max(range(len(results)), key=lambda i: (results[i].c_value, -i))
+        assert best == results[first]
+
+    def test_monte_carlo_rows_take_one_estimate_per_role(self):
+        m, n, block_size = 4, 3000, 1024
+        best, table = sweep_chsh(
+            Sign(), math.pi / m, mode="montecarlo", n=n, rng=RngStream(81),
+            block_size=block_size,
+        )
+        grid = table.grid
+        for quad in [(0, 1, 2, 3), (1, 2, 1, 2)]:  # the second has a = a', b = b'
+            i, j, k, l = quad
+            es = [
+                estimate_correlation(
+                    Sign(), StaticSphere(), grid[x], grid[y], n,
+                    RngStream(81).split((role * m + x) * m + y), block_size,
+                ).e_hat
+                for role, (x, y) in enumerate([(i, j), (i, l), (k, j), (k, l)])
+            ]
+            c_value = (abs(es[0] - es[1]) + abs(es[2] + es[3])) / v_max(Sign()) ** 2
+            assert table.c_values[quad] == c_value
+            # four distinct draws, even where all four roles share one axis pair
+            assert len(set(es)) == 4
+        assert best.c_value == table.c_values.max()
 
 
 class TestJointTable:

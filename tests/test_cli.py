@@ -186,17 +186,21 @@ class TestChshAndSweep:
         assert result.returncode == 1
 
     def test_worker_count_reproducibility(self, tmp_path):
-        outs = []
-        for workers in ("1", "3"):
-            path = tmp_path / f"w{workers}.csv"
-            result = run_cli(
-                "chsh", "--model", "ensemble", "--angles", "0,pi/4,pi/2,3pi/4",
-                "--mode", "montecarlo", "--trials", "40000", "--seed", "11",
-                "--workers", workers, "--block-size", "1024", "--out", str(path),
-            )
-            assert result.returncode == 0
-            outs.append(data_rows(path.read_text()))
-        assert outs[0] == outs[1]
+        for command in (
+            ("chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--trials", "40000"),
+            ("sweep", "--step", "pi/4", "--trials", "3000"),
+        ):
+            outs = []
+            for workers in ("1", "3"):
+                path = tmp_path / f"{command[0]}{workers}.csv"
+                result = run_cli(
+                    *command, "--model", "ensemble", "--mode", "montecarlo",
+                    "--seed", "11", "--workers", workers, "--block-size", "1024",
+                    "--out", str(path),
+                )
+                assert result.returncode == 0
+                outs.append(data_rows(path.read_text()))
+            assert outs[0] == outs[1]
 
 
 class TestSequential:
@@ -217,6 +221,13 @@ class TestSequential:
     def test_bad_axis_is_usage_error(self, capsys):
         assert main(["sequential", "--axes", "0,foo"]) == 1
         assert "cannot parse angle" in capsys.readouterr().err
+
+    def test_single_trial_is_usage_error(self, capsys):
+        # one outcome has no sample standard deviation
+        assert main(["sequential", "--axes", "0,pi/3", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials must be at least 2" in captured.err
 
     def test_repeated_axis_outcomes_certain(self):
         result = run_cli(
