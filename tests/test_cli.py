@@ -185,22 +185,18 @@ class TestChshAndSweep:
         result = run_cli("sweep", "--model", "sign", "--step", "0.3")
         assert result.returncode == 1
 
-    def test_worker_count_reproducibility(self, tmp_path):
-        for command in (
-            ("chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--trials", "40000"),
-            ("sweep", "--step", "pi/4", "--trials", "3000"),
-        ):
-            outs = []
-            for workers in ("1", "3"):
-                path = tmp_path / f"{command[0]}{workers}.csv"
-                result = run_cli(
-                    *command, "--model", "ensemble", "--mode", "montecarlo",
-                    "--seed", "11", "--workers", workers, "--block-size", "1024",
-                    "--out", str(path),
-                )
-                assert result.returncode == 0
-                outs.append(data_rows(path.read_text()))
-            assert outs[0] == outs[1]
+    @pytest.mark.parametrize("command", [
+        ["chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--seed", "1"],
+        ["sweep", "--step", "pi/4"],
+    ])
+    def test_single_trial_monte_carlo_is_usage_error(self, command, capsys):
+        # one trial per correlation has no standard error, so no violation
+        # can be judged (a point-like model used to read C = 4, violated)
+        code = main([*command, "--model", "sign", "--mode", "montecarlo", "--trials", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 2" in captured.err
 
 
 class TestSequential:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsphere import (
     Axis,
@@ -11,6 +12,7 @@ from bellsphere import (
     Hemisphere,
     Ring,
     RngStream,
+    RotatingHemispheres,
     Sign,
     StaticSphere,
     StochasticSign,
@@ -228,6 +230,25 @@ class TestMeasurePair:
             )
             p_hat = float(np.mean(o1 > 0))
             assert abs(p_hat - 0.5) <= 5.0 * math.sqrt(0.25 / n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([Direct(), Sign(), StochasticSign(), EnsembleDep()]),
+        st.sampled_from([StaticSphere(), RotatingHemispheres()]),
+        st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0),
+        st.integers(1, 300),
+        st.integers(0, 2**32),
+    )
+    def test_distant_axis_leaves_near_outcomes_bit_identical(
+        self, model, source, a, b, b_other, n, seed
+    ):
+        o1, _ = measure_pair_batch(model, source, Axis(a), Axis(b), n, RngStream(seed))
+        o1_other, _ = measure_pair_batch(
+            model, source, Axis(a), Axis(b_other), n, RngStream(seed)
+        )
+        assert o1.tobytes() == o1_other.tobytes()
 
     def test_pair_protocol_is_order_symmetric(self):
         # measuring particle 2 first and conditioning particle 1 yields the
