@@ -13,11 +13,8 @@ from .geometry import (
     Axis,
     RngStream,
     angle_delta,
-    delta,
-    is_unit,
     project,
     sample_hemisphere,
-    sample_ring,
     sample_sphere,
 )
 from .distributions import (
@@ -26,13 +23,11 @@ from .distributions import (
     FullSphere,
     Hemisphere,
     PairSource,
-    Ring,
     RotatingHemispheres,
     StaticSphere,
     ensemble_mean_projection,
     quad_density_normalization,
     quad_ring_mean_projection,
-    sample_ensemble,
     sample_pair,
 )
 from .detectors import (
@@ -61,7 +56,6 @@ from .analysis import (
     e_closed,
     estimate_correlation,
     fine_feasible,
-    inequality_from_joint,
     lune_probability,
     stochastic_sign_alt_form,
     sweep_chsh,
@@ -90,7 +84,6 @@ __all__ = [
     "JointTable",
     "PairSource",
     "QuadratureSpec",
-    "Ring",
     "RngStream",
     "RotatingHemispheres",
     "Sign",
@@ -100,16 +93,13 @@ __all__ = [
     "angle_delta",
     "chsh",
     "chsh_inequalities_hold",
-    "delta",
     "e_closed",
     "ensemble_mean_projection",
     "enumerate_ensemble_E",
     "enumerate_pointlike_E",
     "estimate_correlation",
     "fine_feasible",
-    "inequality_from_joint",
     "is_pointlike",
-    "is_unit",
     "lune_probability",
     "measure_pair_batch",
     "measure_pointlike",
@@ -121,10 +111,8 @@ __all__ = [
     "quad_density_normalization",
     "quad_expectation",
     "quad_ring_mean_projection",
-    "sample_ensemble",
     "sample_hemisphere",
     "sample_pair",
-    "sample_ring",
     "sample_sphere",
     "sequence_outcomes",
     "sequence_tree_mean",

@@ -295,33 +295,6 @@ class JointTable:
             raise ValueError("joint table must sum to 1")
         self.probs = np.maximum(probs, 0.0)
 
-    @classmethod
-    def uniform(cls) -> "JointTable":
-        return cls(np.full((2, 2, 2, 2), 1.0 / 16.0))
-
-    def correlations(self) -> tuple[float, float, float, float]:
-        """(E_ab, E_ab', E_a'b, E_a'b') reproduced by the table."""
-        values = np.array(OUTCOME_VALUES)
-        v1a, v1ap, v2b, v2bp = np.meshgrid(values, values, values, values, indexing="ij")
-        return (
-            float((self.probs * v1a * v2b).sum()),
-            float((self.probs * v1a * v2bp).sum()),
-            float((self.probs * v1ap * v2b).sum()),
-            float((self.probs * v1ap * v2bp).sum()),
-        )
-
-    def marginals(self) -> tuple[float, ...]:
-        """Eight single-outcome marginals, (P(X = +1/2), P(X = -1/2)) for
-        each observable in the order (v_1a, v_1a', v_2b, v_2b')."""
-        out = []
-        for obs_axis in range(4):
-            summed = self.probs.sum(axis=tuple(i for i in range(4) if i != obs_axis))
-            out.extend([float(summed[1]), float(summed[0])])
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"JointTable(sum={self.probs.sum():.6f})"
-
 
 def _feasibility_system(correlations, marginals):
     atoms = list(itertools.product((0, 1), repeat=4))
@@ -391,12 +364,3 @@ def chsh_inequalities_hold(correlations, v_max: float = 0.5, slack: float = 1e-9
         if abs(signed) > bound + slack:
             return False
     return True
-
-
-def inequality_from_joint(table: JointTable) -> float:
-    """The bounded sum sum_atoms P * (|v_1a (v_2b - v_2b')| +
-    |v_1a' (v_2b + v_2b')|); at most 2 v_max^2 = 1/2 for any valid table."""
-    values = np.array(OUTCOME_VALUES)
-    v1a, v1ap, v2b, v2bp = np.meshgrid(values, values, values, values, indexing="ij")
-    terms = np.abs(v1a * (v2b - v2bp)) + np.abs(v1ap * (v2b + v2bp))
-    return float((table.probs * terms).sum())

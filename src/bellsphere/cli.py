@@ -229,6 +229,19 @@ def _ensemble_label(ensemble) -> str:
     return f"hemisphere(theta={ensemble.axis.theta:.6f}, sign={sign}1)"
 
 
+def _projection_deltas(pre, axis: Axis):
+    """The two bookkeepings of the projection change when ``pre`` is measured
+    along ``axis``: (outcome, post ensemble, post-minus-pre mean projection,
+    -2kP form) for the outcomes +1/2 and -1/2."""
+    pre_mean = distributions.ensemble_mean_projection(pre, axis)
+    rows = []
+    for outcome in (0.5, -0.5):
+        post = distributions.Hemisphere(axis, 1 if outcome > 0 else -1)
+        own = distributions.ensemble_mean_projection(post, axis) - pre_mean
+        rows.append((outcome, post, own, detectors.projection_delta_alt_form(pre, axis, outcome)))
+    return rows
+
+
 def cmd_sequential(args) -> int:
     seed = _resolve_seed(args.seed)
     axes = [Axis(t) for t in parse_angle_list(args.axes)]
@@ -240,8 +253,10 @@ def cmd_sequential(args) -> int:
         e0 = distributions.FullSphere()
     else:
         e0 = distributions.Hemisphere(Axis(args.initial_axis), args.initial_sign)
-    rng = RngStream(seed)
-    outcomes = detectors.sequence_outcomes(e0, axes, args.trials, rng)
+    # first, so that a sequence beyond the oracle's depth cap fails before
+    # any output
+    tree_final = oracles.sequence_tree_mean(e0, axes)
+    outcomes = detectors.sequence_outcomes(e0, axes, args.trials, RngStream(seed))
 
     print("sequential ensemble measurements")
     print(f"initial ensemble : {_ensemble_label(e0)}")
@@ -262,17 +277,13 @@ def cmd_sequential(args) -> int:
             f"  transitions from {_ensemble_label(pre)} "
             f"(mean projection {pre_mean:+.6f}; mirror for the -1 branch):"
         )
-        for outcome in (0.5, -0.5):
-            post = distributions.Hemisphere(axis, 1 if outcome > 0 else -1)
-            own = distributions.ensemble_mean_projection(post, axis) - pre_mean
-            alt = detectors.projection_delta_alt_form(pre, axis, outcome)
+        for outcome, post, own, alt in _projection_deltas(pre, axis):
             print(
                 f"    outcome {outcome:+.1f}: post={_ensemble_label(post)}  "
                 f"delta<J>(post-pre)={own:+.6f}  alt(-2kP)={alt:+.6f}"
             )
     final_mean = float(np.mean(outcomes[-1]))
     final_err = float(np.std(outcomes[-1], ddof=1) / math.sqrt(args.trials))
-    tree_final = oracles.sequence_tree_mean(e0, axes)
     print(
         f"final outcome: mc mean={final_mean:+.6f} +- {final_err:.6f}, "
         f"tree oracle={tree_final:+.6f}"
@@ -423,7 +434,7 @@ def _check_feasibility_cross(rng: RngStream, samples: int):
     )
 
 
-def _noisy_sign_report(rng: RngStream, report_grid: bool, println) -> tuple[bool, str]:
+def _noisy_sign_report(rng: RngStream, report_grid: bool) -> tuple[bool, str]:
     enumerated = oracles.enumerate_pointlike_E(detectors.StochasticSign(), 0.0)
     alt = analysis.stochastic_sign_alt_form(0.0, 0.0)
     record = analysis.estimate_correlation(
@@ -435,15 +446,15 @@ def _noisy_sign_report(rng: RngStream, report_grid: bool, println) -> tuple[bool
         rng.split(500),
     )
     z = (record.e_hat - enumerated) / record.std_err
-    println(
+    print(
         "noisy-sign closed forms at delta=0: "
         f"enumeration oracle = {enumerated:+.9g} | alt form = {alt:+.9g} | "
         f"monte carlo = {record.e_hat:+.6f} +- {record.std_err:.6f}"
     )
     if report_grid:
-        println("  delta      oracle        alt form")
+        print("  delta      oracle        alt form")
         for d in np.linspace(0.0, math.pi, 9):
-            println(
+            print(
                 f"  {float(d):8.5f}  {oracles.enumerate_pointlike_E(detectors.StochasticSign(), float(d)):+11.8f}"
                 f"  {analysis.stochastic_sign_alt_form(0.0, float(d)):+11.8f}"
             )
@@ -454,11 +465,8 @@ def run_verification(
     seed: int,
     feasibility_samples: int = 2000,
     report_discrepancies: bool = False,
-    stream=None,
 ) -> bool:
     """Run the verification checks, print one line per check, return overall pass."""
-    out = stream if stream is not None else sys.stdout
-    println = lambda text: print(text, file=out)  # noqa: E731
     rng = RngStream(seed)
     checks = [
         ("density normalization (4 jz0/j0 ratios)", _check_density_normalization),
@@ -478,26 +486,22 @@ def run_verification(
     for name, check in checks:
         ok, detail = check()
         all_ok &= ok
-        println(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
-    ok, detail = _noisy_sign_report(rng, report_discrepancies, println)
+    ok, detail = _noisy_sign_report(rng, report_discrepancies)
     all_ok &= ok
-    println(f"[{'PASS' if ok else 'FAIL'}] noisy-sign discrepancy report: {detail}")
+    print(f"[{'PASS' if ok else 'FAIL'}] noisy-sign discrepancy report: {detail}")
 
     # informational: the two bookkeepings of the measurement-induced
     # projection change disagree; both are surfaced, neither is endorsed
-    pre = distributions.Hemisphere(Axis(0.0), 1)
-    axis = Axis(math.pi / 3)
-    pre_mean = distributions.ensemble_mean_projection(pre, axis)
-    for outcome in (0.5, -0.5):
-        post = distributions.Hemisphere(axis, 1 if outcome > 0 else -1)
-        own = distributions.ensemble_mean_projection(post, axis) - pre_mean
-        alt_value = detectors.projection_delta_alt_form(pre, axis, outcome)
-        println(
+    for outcome, _, own, alt in _projection_deltas(
+        distributions.Hemisphere(Axis(0.0), 1), Axis(math.pi / 3)
+    ):
+        print(
             f"[INFO] projection delta, outcome {outcome:+.1f} from hemisphere(0,+1) "
-            f"along pi/3: post-pre = {own:+.6f}, -2kP form = {alt_value:+.6f}"
+            f"along pi/3: post-pre = {own:+.6f}, -2kP form = {alt:+.6f}"
         )
-    println("verification " + ("PASSED" if all_ok else "FAILED"))
+    print("verification " + ("PASSED" if all_ok else "FAILED"))
     return all_ok
 
 

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, RngStream, delta, project
+from .geometry import Axis, RngStream, angle_delta, project
 from .distributions import (
     Ensemble,
     Hemisphere,
     PairSource,
-    Ring,
     ensemble_mean_projection,
     sample_pair,
 )
@@ -126,8 +125,6 @@ def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]
     The probabilities are pinned by requiring the outcome average to equal
     the ensemble's mean projection: P(+-1/2) = 1/2 +- mean.
     """
-    if isinstance(ensemble, Ring):
-        raise ValueError("ensemble measurement is defined on sphere/hemisphere only")
     p_plus = 0.5 + ensemble_mean_projection(ensemble, axis)
     p_plus = min(max(p_plus, 0.0), 1.0)
     return p_plus, 1.0 - p_plus
@@ -155,8 +152,6 @@ def sequence_outcomes(
     hemisphere about the current axis, so the per-trial state reduces to a
     sign.  Row i holds the n outcomes of step i.
     """
-    if isinstance(e0, Ring):
-        raise ValueError("ensemble measurement is defined on sphere/hemisphere only")
     axes = list(axes)
     out = np.empty((len(axes), n))
     if isinstance(e0, Hemisphere):
@@ -167,7 +162,7 @@ def sequence_outcomes(
         if cur_theta is None:
             p_plus = np.full(n, 0.5)
         else:
-            p_plus = 0.5 * (1.0 + signs * math.cos(delta(Axis(cur_theta), axis)))
+            p_plus = 0.5 * (1.0 + signs * math.cos(angle_delta(cur_theta, axis.theta)))
         signs = np.where(rng.uniform(n) < p_plus, 1.0, -1.0)
         out[i] = 0.5 * signs
         cur_theta = axis.theta
@@ -198,7 +193,7 @@ def measure_pair_batch(
         o1 = np.where(draws[:, 0] < 0.5, 0.5, -0.5)
         # particle 2 occupies the opposite hemisphere about a; its +1/2
         # probability along b is (1 - sign(o1) cos(b - a)) / 2
-        p2_plus = 0.5 * (1.0 - 2.0 * o1 * math.cos(delta(a, b)))
+        p2_plus = 0.5 * (1.0 - 2.0 * o1 * math.cos(angle_delta(a.theta, b.theta)))
         o2 = np.where(draws[:, 1] < p2_plus, 0.5, -0.5)
         return o1, o2
     j1, j2 = sample_pair(source, rng, n)

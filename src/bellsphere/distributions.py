@@ -1,12 +1,13 @@
 """Ensembles on the angular-momentum sphere and the anti-correlated source.
 
-Three ensemble families: the uniform sphere, uniform hemispheres about an
-axis in the measurement plane, and rings of fixed magnitude ``j0`` and
-z-projection ``jz0``.  The ring family comes with its configuration-space
-density (an inverse-square-root profile with an integrable blow-up at the
-support boundary) and quadrature helpers that integrate it against the
-solid-angle measure.  The pair source emits exactly anti-correlated
-two-particle draws, ``j2 = -j1`` component for component.
+Two ensemble families: the uniform sphere and uniform hemispheres about an
+axis in the measurement plane.  The eigenstate analog, a ring of fixed
+magnitude ``j0`` and z-projection ``jz0``, is given by its
+configuration-space density (an inverse-square-root profile with an
+integrable blow-up at the support boundary) and quadrature helpers that
+integrate it against the solid-angle measure.  The pair source emits
+exactly anti-correlated two-particle draws, ``j2 = -j1`` component for
+component.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from .geometry import (
     RngStream,
     _rotate_from_frame,
     angle_delta,
-    delta,
     project,
-    sample_hemisphere,
-    sample_ring,
     sample_sphere,
 )
 
@@ -51,49 +49,18 @@ class Hemisphere:
             raise ValueError(f"hemisphere sign must be -1 or +1, got {self.sign!r}")
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Fixed-magnitude, fixed-z-projection ring (azimuth uniform)."""
-
-    j0: float
-    jz0: float
-
-    def __post_init__(self):
-        if self.j0 <= 0.0:
-            raise ValueError(f"ring magnitude j0 must be positive, got {self.j0!r}")
-        if abs(self.jz0) > self.j0:
-            raise ValueError(
-                f"|jz0| <= j0 required, got jz0={self.jz0!r}, j0={self.j0!r}"
-            )
-
-
-Ensemble = FullSphere | Hemisphere | Ring
-
-
-def sample_ensemble(ensemble: Ensemble, rng: RngStream, n: int) -> np.ndarray:
-    """Draw ``n`` unit vectors from an ensemble as an (n, 3) array."""
-    if isinstance(ensemble, FullSphere):
-        return sample_sphere(rng, n)
-    if isinstance(ensemble, Hemisphere):
-        return sample_hemisphere(ensemble.axis, ensemble.sign, rng, n)
-    if isinstance(ensemble, Ring):
-        return sample_ring(ensemble.j0, ensemble.jz0, rng, n)
-    raise TypeError(f"not an ensemble: {ensemble!r}")
+Ensemble = FullSphere | Hemisphere
 
 
 def ensemble_mean_projection(ensemble: Ensemble, b: Axis) -> float:
     """Mean angular-momentum projection onto axis ``b``.
 
     Full sphere: 0.  Hemisphere about ``a`` with sign s: s cos(b - a) / 2.
-    Ring: jz0 cos(theta_b), in physical units of the ring magnitude (the
-    sampled unit vectors average to this divided by j0).
     """
     if isinstance(ensemble, FullSphere):
         return 0.0
     if isinstance(ensemble, Hemisphere):
-        return 0.5 * ensemble.sign * math.cos(delta(ensemble.axis, b))
-    if isinstance(ensemble, Ring):
-        return ensemble.jz0 * math.cos(angle_delta(0.0, b.theta))
+        return 0.5 * ensemble.sign * math.cos(angle_delta(ensemble.axis.theta, b.theta))
     raise TypeError(f"not an ensemble: {ensemble!r}")
 
 
@@ -123,7 +90,7 @@ class ConfigDensity:
     def norm_constant(self) -> float:
         return self.j0 / (2.0 * math.pi**2)
 
-    def at(self, theta, phi=0.0):
+    def at(self, theta):
         """Density at polar angle(s) ``theta`` (azimuth-independent).
 
         Returns 0 outside the support and +inf on its boundary.
@@ -139,8 +106,7 @@ class ConfigDensity:
         on_support = s2 >= ratio2
         # s2 == 0 is on-support only for jz0 == 0, where the density blows up
         boundary = on_support & ~(np.nan_to_num(radicand, nan=-1.0) > 0.0)
-        out = np.where(on_support, np.where(boundary, np.inf, inner), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(on_support, np.where(boundary, np.inf, inner), 0.0)
 
 
 def quad_density_normalization(density: ConfigDensity, n_nodes: int = 2048) -> float:

@@ -4,8 +4,9 @@ Every measurement axis lies in a single plane containing the z axis, so an
 axis is one angle measured from z.  Angular momenta are unit 3-vectors
 (magnitudes are carried by the ensembles that use them, in units where
 J = 1).  All sampling goes through :class:`RngStream`, a counter-based
-stream whose output is a pure function of ``(seed, stream_id, counter)``,
-which is what makes block-parallel Monte Carlo runs bit-reproducible.
+stream whose output is a pure function of ``(seed, stream_id)``; Monte Carlo
+blocks each draw from their own child stream, which is what makes a run
+bit-reproducible for a given seed and block size.
 """
 
 from __future__ import annotations
@@ -36,43 +37,33 @@ def _derive_stream_id(parent: int, index: int) -> int:
 class RngStream:
     """Counter-based random stream (Philox 4x64 under the hood).
 
-    The draw sequence is a pure function of ``(seed, stream_id, counter)``:
-    the same triple reproduces the same bits on every platform and run.
-    Distinct stream ids give statistically independent sequences, so
-    parallel workers may own disjoint streams with no coordination.
-
-    ``counter`` is the Philox block counter at which the stream starts;
-    one block is four 64-bit words, i.e. four uniform doubles.  The object
-    holds a cursor that advances as draws are consumed; pass streams by
-    value (one owner each) rather than sharing them across workers.
+    The draw sequence is a pure function of ``(seed, stream_id)``: the same
+    pair reproduces the same bits on every platform and run.  Distinct
+    stream ids give statistically independent sequences.  The object holds
+    a cursor that advances as draws are consumed, so each unit of work
+    draws from a stream of its own (see :meth:`split`).
     """
 
-    __slots__ = ("seed", "stream_id", "counter", "_gen")
+    __slots__ = ("seed", "stream_id", "_gen")
 
-    def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
+    def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self.counter = int(counter)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key, counter=self.counter))
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self, size=None):
-        """Uniform draws in [0, 1): a float when ``size`` is None, else an array."""
+    def uniform(self, size):
+        """Uniform draws in [0, 1) as an array of shape ``size``."""
         return self._gen.random(size)
 
     def split(self, index: int) -> "RngStream":
         """Independent child stream for work unit ``index``.
 
-        The child id is a fixed hash of (parent stream_id, index), so block
-        assignments are stable across runs and worker counts.
+        The child id is a fixed hash of (parent stream_id, index), so the
+        stream a Monte Carlo block draws from depends only on the seed and
+        the block's position.
         """
         return RngStream(self.seed, _derive_stream_id(self.stream_id, index))
-
-    def __repr__(self) -> str:
-        return (
-            f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
-            f"counter={self.counter})"
-        )
 
 
 @dataclass(frozen=True)
@@ -87,11 +78,6 @@ class Axis:
             t -= TWO_PI
         object.__setattr__(self, "theta", t)
 
-    @property
-    def direction(self) -> np.ndarray:
-        """Unit vector (0, sin theta, cos theta)."""
-        return np.array([0.0, math.sin(self.theta), math.cos(self.theta)])
-
 
 def angle_delta(theta_a: float, theta_b: float) -> float:
     """Axis separation |theta_b - theta_a| reduced to [0, pi]."""
@@ -99,26 +85,13 @@ def angle_delta(theta_a: float, theta_b: float) -> float:
     return TWO_PI - d if d > math.pi else d
 
 
-def delta(a: Axis, b: Axis) -> float:
-    """Separation of two axes, in [0, pi]."""
-    return angle_delta(a.theta, b.theta)
-
-
-def project(j, axis: Axis):
+def project(j: np.ndarray, axis: Axis):
     """Projection of j onto the axis: j . (0, sin theta, cos theta).
 
     Accepts a single vector of shape (3,) or a batch of shape (n, 3);
     returns a float or an (n,) array accordingly.
     """
-    j = np.asarray(j, dtype=float)
-    out = j[..., 1] * math.sin(axis.theta) + j[..., 2] * math.cos(axis.theta)
-    return float(out) if out.ndim == 0 else out
-
-
-def is_unit(j, tol: float = 1e-12) -> bool:
-    """True when every vector in ``j`` has norm within ``tol`` of 1."""
-    norms = np.linalg.norm(np.asarray(j, dtype=float), axis=-1)
-    return bool(np.all(np.abs(norms - 1.0) < tol))
+    return j[..., 1] * math.sin(axis.theta) + j[..., 2] * math.cos(axis.theta)
 
 
 def sample_sphere(rng: RngStream, n: int) -> np.ndarray:
@@ -158,17 +131,3 @@ def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int) -> np.ndarr
     zf = sign * (1.0 - draws[:, 0])
     az = TWO_PI * draws[:, 1]
     return _rotate_from_frame(zf, az, math.sin(axis.theta), math.cos(axis.theta))
-
-
-def sample_ring(j0: float, jz0: float, rng: RngStream, n: int) -> np.ndarray:
-    """``n`` unit vectors with z fixed at jz0/j0 and uniform azimuth."""
-    if j0 <= 0.0:
-        raise ValueError(f"ring magnitude j0 must be positive, got {j0!r}")
-    if abs(jz0) > j0:
-        raise ValueError(f"|jz0| <= j0 required, got jz0={jz0!r}, j0={j0!r}")
-    z = jz0 / j0
-    r = math.sqrt(max(1.0 - z * z, 0.0))
-    az = TWO_PI * rng.uniform(n)
-    return np.stack(
-        [r * np.cos(az), r * np.sin(az), np.full_like(az, z)], axis=-1
-    )

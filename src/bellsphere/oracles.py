@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Ensemble, FullSphere, Hemisphere, Ring
+from .distributions import Ensemble, FullSphere, Hemisphere
 from .detectors import DetectorModel, Sign, StochasticSign
 
 _TWO_PI = 2.0 * math.pi
@@ -127,8 +127,6 @@ def sequence_tree_mean(e0: Ensemble, axes, max_depth: int = 20) -> float:
         raise ValueError("need at least one axis")
     if len(axes) > max_depth:
         raise ValueError(f"sequence depth {len(axes)} exceeds cap {max_depth}")
-    if isinstance(e0, Ring):
-        raise ValueError("ensemble measurement is defined on sphere/hemisphere only")
     if isinstance(e0, Hemisphere):
         state = (e0.axis.theta, float(e0.sign))
     elif isinstance(e0, FullSphere):

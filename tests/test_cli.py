@@ -225,6 +225,13 @@ class TestSequential:
         assert captured.out == ""
         assert "--trials must be at least 2" in captured.err
 
+    def test_sequence_beyond_oracle_depth_fails_before_output(self, capsys):
+        axes = ",".join(f"{i / 10}" for i in range(21))
+        assert main(["sequential", "--axes", axes, "--trials", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sequence depth 21 exceeds cap 20" in captured.err
+
     def test_repeated_axis_outcomes_certain(self):
         result = run_cli(
             "sequential", "--axes", "0,0,0", "--seed", "5", "--trials", "5000"

@@ -10,7 +10,6 @@ from bellsphere import (
     EnsembleDep,
     FullSphere,
     Hemisphere,
-    Ring,
     RngStream,
     RotatingHemispheres,
     Sign,
@@ -135,10 +134,6 @@ class TestEnsembleMeasurement:
         outcomes = sequence_outcomes(FullSphere(), [Axis(2.1)], 200_000, RngStream(45))
         p_hat = float(np.mean(outcomes[0] > 0))
         assert abs(p_hat - 0.5) <= 5.0 * math.sqrt(0.25 / 200_000)
-
-    def test_ring_rejected(self):
-        with pytest.raises(ValueError):
-            sequence_outcomes(Ring(1.0, 0.5), [Axis(0.0)], 1, RngStream(1))
 
     def test_repeatability(self):
         a = Axis(1.4)

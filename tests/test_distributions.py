@@ -8,7 +8,6 @@ from bellsphere import (
     ConfigDensity,
     FullSphere,
     Hemisphere,
-    Ring,
     RngStream,
     RotatingHemispheres,
     StaticSphere,
@@ -16,7 +15,7 @@ from bellsphere import (
     project,
     quad_density_normalization,
     quad_ring_mean_projection,
-    sample_ensemble,
+    sample_hemisphere,
     sample_pair,
 )
 
@@ -90,19 +89,12 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             Hemisphere(Axis(0.0), 2)
 
-    def test_ring_validation(self):
-        with pytest.raises(ValueError):
-            Ring(1.0, 1.2)
-
     def test_mean_projection_closed_forms(self):
         a = Axis(0.4)
         assert ensemble_mean_projection(Hemisphere(a, 1), a) == pytest.approx(0.5)
         assert ensemble_mean_projection(FullSphere(), Axis(2.0)) == 0.0
         b = Axis(0.4 + math.pi / 3)
         assert ensemble_mean_projection(Hemisphere(a, -1), b) == pytest.approx(-0.25)
-        assert ensemble_mean_projection(Ring(1.0, 0.625), Axis(math.pi / 4)) == (
-            pytest.approx(0.625 * math.cos(math.pi / 4))
-        )
 
     def test_mean_projection_extremal_at_own_axis_and_sign_odd(self):
         gen = np.random.default_rng(0)
@@ -118,13 +110,9 @@ class TestEnsembles:
         a = Axis(0.5)
         b = Axis(0.5 + 1.1)
         ensemble = Hemisphere(a, 1)
-        j = sample_ensemble(ensemble, RngStream(21), 400_000)
+        j = sample_hemisphere(a, 1, RngStream(21), 400_000)
         p = project(j, b)
         assert sigma_bound(p, ensemble_mean_projection(ensemble, b)) <= 5.0
-
-    def test_sample_ensemble_dispatch(self):
-        assert sample_ensemble(FullSphere(), RngStream(1), 10).shape == (10, 3)
-        assert sample_ensemble(Ring(1.0, 0.5), RngStream(1), 10).shape == (10, 3)
 
 
 class TestPairSource:

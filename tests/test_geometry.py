@@ -8,12 +8,9 @@ from bellsphere import (
     Axis,
     RngStream,
     angle_delta,
-    delta,
-    is_unit,
     project,
     quad_expectation,
     sample_hemisphere,
-    sample_ring,
     sample_sphere,
 )
 
@@ -26,19 +23,20 @@ def sigma_bound(samples, expected, n_sigma=5.0):
     return abs(float(np.mean(samples)) - expected) / max(se, 1e-300)
 
 
+def is_unit(j, tol=1e-12):
+    """Every vector in ``j`` has norm within ``tol`` of 1."""
+    return bool(np.all(np.abs(np.linalg.norm(j, axis=-1) - 1.0) < tol))
+
+
 class TestAxis:
     def test_normalizes_into_two_pi(self):
         assert Axis(TWO_PI + 0.5).theta == pytest.approx(0.5)
         assert Axis(-0.1).theta == pytest.approx(TWO_PI - 0.1)
         assert 0.0 <= Axis(-12.3).theta < TWO_PI
 
-    def test_direction_is_unit_and_in_plane(self):
-        d = Axis(1.234).direction
-        assert d[0] == 0.0
-        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-15)
-
     def test_delta_reduces_to_half_circle(self):
-        assert delta(Axis(0.1), Axis(TWO_PI - 0.1)) == pytest.approx(0.2, abs=1e-12)
+        a, b = Axis(0.1), Axis(TWO_PI - 0.1)
+        assert angle_delta(a.theta, b.theta) == pytest.approx(0.2, abs=1e-12)
         assert angle_delta(0.0, 3 * math.pi / 2) == pytest.approx(math.pi / 2)
         assert angle_delta(0.3, 0.3) == 0.0
 
@@ -103,11 +101,6 @@ class TestRngStream:
         b = sample_sphere(RngStream(1, 1), 100)
         assert not np.array_equal(a, b)
 
-    def test_counter_offsets_by_philox_blocks(self):
-        base = RngStream(9, 2).uniform(12)
-        offset = RngStream(9, 2, counter=1).uniform(8)
-        assert np.array_equal(base[4:], offset)  # one block = 4 doubles
-
     def test_split_is_stable_and_distinct(self):
         rng = RngStream(7)
         ids = {rng.split(i).stream_id for i in range(100)}
@@ -160,29 +153,3 @@ class TestSampleHemisphere:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
             sample_hemisphere(Axis(0.0), 0, RngStream(1), 1)
-
-
-class TestSampleRing:
-    def test_mean_projection(self):
-        j = sample_ring(1.0, 5.0 / 8.0, RngStream(9), 400_000)
-        expected = (5.0 / 8.0) * math.cos(math.pi / 4)
-        assert sigma_bound(project(j, Axis(math.pi / 4)), expected) <= 5.0
-
-    def test_degenerate_ring_at_pole(self):
-        j = sample_ring(1.0, 1.0, RngStream(10), 100)
-        assert np.array_equal(j[:, 2], np.ones(100))
-        assert np.allclose(j[:, :2], 0.0)
-
-    def test_equatorial_ring_mean_z_is_exactly_zero(self):
-        j = sample_ring(1.0, 0.0, RngStream(11), 10_000)
-        assert float(np.max(np.abs(j[:, 2]))) == 0.0
-
-    def test_rejects_projection_exceeding_magnitude(self):
-        with pytest.raises(ValueError):
-            sample_ring(1.0, 1.5, RngStream(1), 1)
-        with pytest.raises(ValueError):
-            sample_ring(0.0, 0.0, RngStream(1), 1)
-
-    def test_unit_norm(self):
-        assert is_unit(sample_ring(2.0, 1.0, RngStream(12), 5_000))
-

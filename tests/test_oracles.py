@@ -9,7 +9,6 @@ from bellsphere import (
     FullSphere,
     Hemisphere,
     QuadratureSpec,
-    Ring,
     RngStream,
     Sign,
     StochasticSign,
@@ -119,10 +118,6 @@ class TestSequenceTreeMean:
             sequence_tree_mean(Hemisphere(Axis(0.0), 1), [Axis(0.0)] * 21)
         with pytest.raises(ValueError):
             sequence_tree_mean(Hemisphere(Axis(0.0), 1), [])
-
-    def test_ring_rejected(self):
-        with pytest.raises(ValueError):
-            sequence_tree_mean(Ring(1.0, 0.5), [Axis(0.0)])
 
     def test_matches_monte_carlo_on_random_sequences(self):
         gen = np.random.default_rng(13)
