@@ -114,6 +114,34 @@ class ChshResult:
     c_std_err: float | None = None
 
 
+def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
+    """Monte Carlo (E, standard error) tables, each (m_a, m_b), over ``n``
+    pairs measured along every axis pair of one role.
+
+    Trials are partitioned into fixed-size blocks; block i draws from the
+    child stream ``rng.split(i)``, every entry of the table reads the same
+    draws, and block sums are added in block order, so the tables are
+    bit-identical for a given (seed, stream_id, block_size).
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
+    total = total_sq = 0.0
+    for i, start in enumerate(range(0, n, block_size)):
+        s, s2 = measure_pair_batch(
+            model, source, axes_a, axes_b, min(block_size, n - start), rng.split(i)
+        )
+        total, total_sq = total + s, total_sq + s2
+    e_hat = total / n
+    if n > 1:
+        variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
+    else:
+        variance = np.zeros_like(e_hat)
+    return e_hat, np.sqrt(variance / n)
+
+
 def estimate_correlation(
     model: DetectorModel,
     source: PairSource,
@@ -123,38 +151,19 @@ def estimate_correlation(
     rng: RngStream,
     block_size: int = 4096,
 ) -> CorrelationRecord:
-    """Monte Carlo estimate of E(a, b) over ``n`` pair measurements.
-
-    Trials are partitioned into fixed-size blocks; block i draws from the
-    child stream ``rng.split(i)`` and block sums are added in block order,
-    so the result is bit-identical for a given (seed, stream_id, block_size).
+    """Monte Carlo estimate of E(a, b) over ``n`` pair measurements, the 1 x 1
+    role table: block i draws from the child stream ``rng.split(i)`` and
+    block sums are added in block order, so the result is bit-identical for
+    a given (seed, stream_id, block_size).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    axis_a, axis_b = Axis(theta_a), Axis(theta_b)
-    total = 0.0
-    total_sq = 0.0
-    for i, start in enumerate(range(0, n, block_size)):
-        o1, o2 = measure_pair_batch(
-            model, source, axis_a, axis_b, min(block_size, n - start), rng.split(i)
-        )
-        prod = o1 * o2
-        total += float(prod.sum())
-        total_sq += float((prod * prod).sum())
-    e_hat = total / n
-    if n > 1:
-        variance = max(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
-    else:
-        variance = 0.0
+    e_hat, std_err = _role_table(model, source, [theta_a], [theta_b], n, rng, block_size)
     return CorrelationRecord(
         model=model_name(model),
         theta_a=theta_a,
         theta_b=theta_b,
         n_trials=n,
-        e_hat=e_hat,
-        std_err=math.sqrt(variance / n),
+        e_hat=float(e_hat[0, 0]),
+        std_err=float(std_err[0, 0]),
         e_closed=e_closed(model, theta_a, theta_b),
     )
 
@@ -166,29 +175,31 @@ def _chsh_scan(model, axes, mode, n, rng, source, block_size):
     (a, b, a', b').
 
     Correlations come as one m x m table per role (ab, ab', a'b, a'b') and C
-    is broadcast over the m^4 quadruples.  Monte Carlo mode estimates entry
-    (i, j) of role k on ``rng.split((k*m + i)*m + j)``, so a quadruple's four
-    correlations are independent experiments even when roles share axes.
+    is broadcast over the m^4 quadruples.  Monte Carlo role k draws its n
+    pairs once, block i on ``rng.split(k).split(i)``, and fills its whole
+    table from them: entries within a role share draws, while a quadruple's
+    four correlations come from the four roles and so stay independent
+    experiments even when roles share axes.
     """
     if mode not in ("closed", "montecarlo"):
         raise ValueError(f"mode must be 'closed' or 'montecarlo', got {mode!r}")
     a, b, a_prime, b_prime = axes
     m = len(a)
     roles = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
-    pairs = [(x, y) for xs, ys in roles for x in xs for y in ys]
     if mode == "montecarlo":
         if n is None or rng is None:
             raise ValueError("montecarlo mode needs n and rng")
         if n < 2:
             raise ValueError("montecarlo mode needs n >= 2 trials for a standard error")
         source = source if source is not None else StaticSphere()
-        records = [
-            estimate_correlation(model, source, x, y, n, rng.split(index), block_size)
-            for index, (x, y) in enumerate(pairs)
+        tables = [
+            _role_table(model, source, xs, ys, n, rng.split(k), block_size)
+            for k, (xs, ys) in enumerate(roles)
         ]
-        es = np.array([r.e_hat for r in records]).reshape(4, m, m)
-        std_errs = np.array([r.std_err for r in records]).reshape(4, m, m)
+        es = np.array([e for e, _ in tables])
+        std_errs = np.array([se for _, se in tables])
     else:
+        pairs = [(x, y) for xs, ys in roles for x in xs for y in ys]
         es = np.array([e_closed(model, x, y) for x, y in pairs]).reshape(4, m, m)
         std_errs = None
 
@@ -263,8 +274,8 @@ def sweep_chsh(
 
     The step must divide pi; correlations depend only on reduced axis
     separations, so the [0, pi) grid already realizes every quadruple of
-    separations the full circle would.  Monte Carlo mode makes 4*m^2
-    estimates on an m-point grid (see :func:`_chsh_scan`).
+    separations the full circle would.  Monte Carlo mode draws n pairs per
+    CHSH role and measures them along all m axes (see :func:`_chsh_scan`).
     """
     ratio = math.pi / grid_step
     m = round(ratio)

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -117,19 +116,21 @@ def _render(columns, rows, fmt: str) -> str:
     if fmt == "json":
         objects = [dict(zip(columns, map(_json_cell, row))) for row in rows]
         return json.dumps(objects, indent=2, allow_nan=False) + "\n"
-    return _csv(columns, (",".join(map(_format_cell, row)) for row in rows))
+    return _csv_head(columns) + "".join(",".join(map(_format_cell, row)) + "\n" for row in rows)
 
 
-def _csv(columns, lines) -> str:
+def _csv_head(columns) -> str:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return "\n".join([f"# generated_at={stamp}", ",".join(columns), *lines]) + "\n"
+    return f"# generated_at={stamp}\n{','.join(columns)}\n"
 
 
-def _emit(text: str, output_path: Path | None) -> None:
+def _emit(chunks, output_path: Path | None) -> None:
+    """Write the text pieces ``chunks`` in order to the file or to stdout."""
     if output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        output_path.write_text(text, encoding="utf-8")
+        with output_path.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _summary(line: str, output_path: Path | None) -> None:
@@ -156,7 +157,7 @@ def cmd_correlate(args) -> int:
         block_size=args.block_size,
     )
     row = [getattr(record, c) for c in CORRELATION_COLUMNS]
-    _emit(_render(CORRELATION_COLUMNS, [row], args.fmt), args.out)
+    _emit([_render(CORRELATION_COLUMNS, [row], args.fmt)], args.out)
     return EXIT_OK
 
 
@@ -174,7 +175,7 @@ def cmd_chsh(args) -> int:
         block_size=args.block_size,
     )
     row = [getattr(result, c) for c in CHSH_COLUMNS]
-    _emit(_render(CHSH_COLUMNS, [row], args.fmt), args.out)
+    _emit([_render(CHSH_COLUMNS, [row], args.fmt)], args.out)
     _summary(
         f"C = {result.c_value:.9g} (v_max = {result.v_max:.9g}, "
         f"violated = {_format_cell(result.violated)})",
@@ -183,24 +184,52 @@ def cmd_chsh(args) -> int:
     return EXIT_OK
 
 
-def _sweep_text(model: str, table: analysis.SweepTable, fmt: str) -> str:
-    c_values, flags = table.c_values.ravel().tolist(), table.violated.ravel().tolist()
+def _sweep_chunks(model: str, table: analysis.SweepTable, fmt: str):
+    """The rows of a sweep as text, one chunk of m^3 rows per a-angle, byte
+    for byte what ``_render`` writes for the same rows.
+
+    Each distinct cell is encoded once: the model, v_max, each grid angle in
+    each column, and each distinct (C, violated) pair, C found by its bits
+    with ``np.unique``.  A row is then one of m heads (model, a), one of
+    m^3 middles (b, a', b') and one tail (C, v_max, violated).
+    """
     if fmt == "json":
-        quads = itertools.product(table.grid, repeat=4)
-        rows = ((model, *q, c, table.v_max, f) for q, c, f in zip(quads, c_values, flags))
-        return _render(CHSH_COLUMNS, rows, fmt)
-    # the model, v_max and each grid angle are formatted once, not per row
-    quads = itertools.product([_format_cell(t) for t in table.grid], repeat=4)
-    head, tail = _format_cell(model), _format_cell(table.v_max)
-    return _csv(CHSH_COLUMNS, (
-        ",".join((head, *q, _format_cell(c), tail, _format_cell(f)))
-        for q, c, f in zip(quads, c_values, flags)
-    ))
+        def cell(value):
+            return json.dumps(_json_cell(value), allow_nan=False)
+
+        labels = [f'\n    "{column}": ' for column in CHSH_COLUMNS]
+        row_open, row_close, separator = "  {", "\n  }", ",\n"
+        opening, closing = "[\n", "\n]\n"
+    else:
+        cell = _format_cell
+        labels = [""] * len(CHSH_COLUMNS)
+        row_open, row_close, separator = "", "", "\n"
+        opening, closing = _csv_head(CHSH_COLUMNS), "\n"
+    m = len(table.grid)
+    c_bits = np.ascontiguousarray(table.c_values, dtype=np.float64).view(np.uint64)
+    bits, inverse = np.unique(c_bits, return_inverse=True)
+    keys = 2 * inverse.reshape(m, m**3) + table.violated.reshape(m, m**3)
+    a, b, a_prime, b_prime = ([f"{labels[k]}{cell(t)}," for t in table.grid] for k in range(1, 5))
+    heads = [f"{row_open}{labels[0]}{cell(model)},{x}" for x in a]
+    middles = [x + y + z for x in b for y in a_prime for z in b_prime]
+    v_max = f",{labels[6]}{cell(table.v_max)},{labels[7]}"
+    tails = [
+        f"{labels[5]}{cell(c)}{v_max}{cell(flag)}{row_close}"
+        for c in bits.view(np.float64).tolist()
+        for flag in (False, True)
+    ]
+    yield opening
+    for i, head in enumerate(heads):
+        if i:
+            yield separator
+        rows = zip(middles, keys[i].tolist())
+        yield separator.join([head + mid + tails[key] for mid, key in rows])
+    yield closing
 
 
 def cmd_sweep(args) -> int:
-    # the m^4 values and their rendered text are held in memory, so the grid
-    # is capped at 16^4 quadruples
+    # the m^4 values are held in memory and m^3 rows of text at a time, so
+    # the grid is capped at 16^4 quadruples
     if args.step < math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
         raise _UsageError(f"--step must be at least pi/{SWEEP_MAX_STEPS}")
     best, table = analysis.sweep_chsh(
@@ -212,7 +241,7 @@ def cmd_sweep(args) -> int:
         source=_source_from_name(args.source),
         block_size=args.block_size,
     )
-    _emit(_sweep_text(best.model, table, args.fmt), args.out)
+    _emit(_sweep_chunks(best.model, table, args.fmt), args.out)
     _summary(
         f"max C = {best.c_value:.9g} at angles "
         f"({best.a:.9g}, {best.b:.9g}, {best.a_prime:.9g}, {best.b_prime:.9g}), "
@@ -265,7 +294,10 @@ def cmd_sequential(args) -> int:
     for i, axis in enumerate(axes):
         freq_plus = float(np.mean(outcomes[i] > 0))
         mc_mean = float(np.mean(outcomes[i]))
-        tree_mean = oracles.sequence_tree_mean(e0, axes[: i + 1])
+        if i < len(axes) - 1:
+            tree_mean = oracles.sequence_tree_mean(e0, axes[: i + 1])
+        else:
+            tree_mean = tree_final
         print(f"step {i + 1}: axis theta={axis.theta:.6f}")
         print(
             f"  mc P(+1/2)={freq_plus:.6f}  mc mean={mc_mean:+.6f}  "

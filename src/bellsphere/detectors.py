@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, RngStream, angle_delta, project
+from .geometry import Axis, RngStream, angle_delta
 from .distributions import (
     Ensemble,
     Hemisphere,
@@ -98,17 +98,17 @@ def model_from_name(name: str, p_hi: float = 0.75) -> DetectorModel:
     raise ValueError(f"unknown detector model {name!r}")
 
 
-def measure_pointlike(model: DetectorModel, j, axis: Axis, rng: RngStream | None = None):
-    """Measure a batch of vectors ``j`` (n, 3) with a point-like detector.
+def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
+    """Outcomes of a point-like detector for the projections ``p`` (an array
+    of any shape) of the measured vectors onto the detector's axis.
 
-    Returns the (n,) outcomes.  ``rng`` is only consumed by StochasticSign.
+    ``rng`` is only consumed by StochasticSign, one flip draw per projection.
     """
     if not is_pointlike(model):
         raise TypeError(
             "measure_pointlike needs a point-like model; the ensemble "
             "detector is driven through sequence_outcomes/measure_pair_batch"
         )
-    p = project(j, axis)
     if isinstance(model, Direct):
         return p
     base = np.where(p >= 0.0, 0.5, -0.5)
@@ -169,34 +169,68 @@ def sequence_outcomes(
     return out
 
 
-def measure_pair_batch(
-    model: DetectorModel,
-    source: PairSource,
-    a: Axis,
-    b: Axis,
-    n: int,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``n`` correlated pairs; particle 1 along ``a``, particle 2
-    along ``b``.  Returns two (n,) outcome arrays.
+def _projections(y, z, axes, sign: float) -> np.ndarray:
+    """(m, n) projections of the vectors sign * (., y, z) onto each of the m
+    axes, one row per axis.
 
-    Point-like models draw (j1, j2) from the source and measure each vector
-    locally.  The ensemble detector instead measures particle 1 from the
-    full-sphere ensemble; angular-momentum conservation then places
-    particle 2 in the opposite hemisphere about ``a``, which is measured
-    along ``b``.  (The source argument is ignored in that branch: the
-    emitted statistics of both sources coincide with the full-sphere
-    ensemble.)
+    ``sign = -1`` folds particle 2's j2 = -j1 into the coefficients:
+    y * (-sin t) equals (-y) * sin t bit for bit.
     """
+    sin_t = np.array([[sign * math.sin(axis.theta)] for axis in axes])
+    cos_t = np.array([[sign * math.cos(axis.theta)] for axis in axes])
+    return y * sin_t + z * cos_t
+
+
+def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, rng: RngStream):
+    """Measure ``n`` correlated pairs; particle 1 along ``a``, particle 2
+    along ``b``.
+
+    ``a`` and ``b`` are one Axis each, and the result is (o1, o2), the two
+    (n,) outcome arrays; or they are sequences of m_a and m_b axes, and the
+    result is (s, s2), the (m_a, m_b) tables of the block's sums of o1 o2 and
+    of (o1 o2)^2 for every axis pair.  All pairs of axes are measured on the
+    block's one set of draws, and each entry is summed in pair order along
+    a contiguous row, so entry (i, j) is bit for bit the sum of the
+    one-axis outcomes for (a_i, b_j), except for StochasticSign, which
+    draws its flips for every axis.  A block holds O((m_a + m_b) n) floats.
+
+    Point-like models draw particle 1's in-plane components from the source
+    and measure j1 and j2 = -j1 locally.  The ensemble detector instead
+    measures particle 1 from the full-sphere ensemble; angular-momentum
+    conservation then places particle 2 in the opposite hemisphere about
+    ``a``, which is measured along ``b``.  (The source argument is ignored
+    in that branch: the emitted statistics of both sources coincide with
+    the full-sphere ensemble.)
+    """
+    single = isinstance(a, Axis)
+    axes_a, axes_b = ([a], [b]) if single else (a, b)
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
         o1 = np.where(draws[:, 0] < 0.5, 0.5, -0.5)
-        # particle 2 occupies the opposite hemisphere about a; its +1/2
-        # probability along b is (1 - sign(o1) cos(b - a)) / 2
-        p2_plus = 0.5 * (1.0 - 2.0 * o1 * math.cos(angle_delta(a.theta, b.theta)))
-        o2 = np.where(draws[:, 1] < p2_plus, 0.5, -0.5)
-        return o1, o2
-    j1, j2 = sample_pair(source, rng, n)
-    o1 = measure_pointlike(model, j1, a, rng)
-    o2 = measure_pointlike(model, j2, b, rng)
-    return o1, o2
+
+        def row(i):
+            # particle 2 occupies the opposite hemisphere about a_i; its +1/2
+            # probability along b is (1 - sign(o1) cos(b - a_i)) / 2
+            cos_ab = np.array(
+                [[math.cos(angle_delta(axes_a[i].theta, axis.theta))] for axis in axes_b]
+            )
+            return o1, np.where(draws[:, 1] < 0.5 * (1.0 - 2.0 * o1 * cos_ab), 0.5, -0.5)
+    else:
+        y, z = sample_pair(source, rng, n)
+        o1 = measure_pointlike(model, _projections(y, z, axes_a, 1.0), rng)
+        o2 = measure_pointlike(model, _projections(y, z, axes_b, -1.0), rng)
+
+        def row(i):
+            return o1[i], o2
+
+    if single:
+        o1_0, o2_0 = row(0)
+        return o1_0, o2_0[0]
+    s = np.empty((len(axes_a), len(axes_b)))
+    s2 = np.empty_like(s)
+    for i in range(len(axes_a)):
+        o1_i, o2_i = row(i)
+        prod = o1_i * o2_i
+        s[i] = prod.sum(axis=-1)
+        s2[i] = (prod * prod).sum(axis=-1)
+    return s, s2

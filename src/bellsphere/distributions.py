@@ -7,7 +7,8 @@ configuration-space density (an inverse-square-root profile with an
 integrable blow-up at the support boundary) and quadrature helpers that
 integrate it against the solid-angle measure.  The pair source emits
 exactly anti-correlated two-particle draws, ``j2 = -j1`` component for
-component.
+component, and returns particle 1's in-plane components, all that a
+measurement reads.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .geometry import (
     TWO_PI,
     Axis,
     RngStream,
-    _rotate_from_frame,
+    _radius,
+    _turn_frame,
     angle_delta,
     project,
-    sample_sphere,
+    sample_sphere_yz,
 )
 
 
@@ -171,17 +173,20 @@ PairSource = StaticSphere | RotatingHemispheres
 
 
 def sample_pair(source: PairSource, rng: RngStream, n: int):
-    """Draw ``n`` anti-correlated pairs; returns (j1, j2), each (n, 3), with
-    j2 = -j1 exactly."""
+    """Draw ``n`` anti-correlated pairs; returns (y, z), particle 1's in-plane
+    components, each (n,).
+
+    Particle 2 is j2 = -j1 exactly, and every measurement axis lies in the
+    y-z plane, so these two components are all a measurement of either
+    particle reads.
+    """
     if isinstance(source, StaticSphere):
-        j1 = sample_sphere(rng, n)
-        return j1, -j1
+        return sample_sphere_yz(rng, n)
     if isinstance(source, RotatingHemispheres):
         draws = rng.uniform((n, 4))
         beta = TWO_PI * draws[:, 0]
         side = np.where(draws[:, 1] < 0.5, 1.0, -1.0)
         zf = side * (1.0 - draws[:, 2])
-        az = TWO_PI * draws[:, 3]
-        j1 = _rotate_from_frame(zf, az, np.sin(beta), np.cos(beta))
-        return j1, -j1
+        yf = _radius(zf) * np.sin(TWO_PI * draws[:, 3])
+        return _turn_frame(yf, zf, np.sin(beta), np.cos(beta))
     raise TypeError(f"not a pair source: {source!r}")

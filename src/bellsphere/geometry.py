@@ -94,28 +94,40 @@ def project(j: np.ndarray, axis: Axis):
     return j[..., 1] * math.sin(axis.theta) + j[..., 2] * math.cos(axis.theta)
 
 
-def sample_sphere(rng: RngStream, n: int) -> np.ndarray:
-    """``n`` uniform unit vectors as an (n, 3) array: z = 2u - 1, azimuth = 2 pi v."""
+def _sphere_coordinates(rng: RngStream, n: int):
+    """Height z = 2u - 1, azimuth 2 pi v and distance from the z axis of ``n``
+    uniform unit vectors."""
     draws = rng.uniform((n, 2))
     z = 2.0 * draws[:, 0] - 1.0
-    az = TWO_PI * draws[:, 1]
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return z, TWO_PI * draws[:, 1], _radius(z)
+
+
+def _radius(z):
+    # distance from the z axis of a unit vector at height z
+    return np.sqrt(np.maximum(1.0 - z * z, 0.0))
+
+
+def sample_sphere(rng: RngStream, n: int) -> np.ndarray:
+    """``n`` uniform unit vectors as an (n, 3) array: z = 2u - 1, azimuth = 2 pi v."""
+    z, az, r = _sphere_coordinates(rng, n)
     return np.stack([r * np.cos(az), r * np.sin(az), z], axis=-1)
 
 
-def _rotate_from_frame(zf, az, sin_t, cos_t) -> np.ndarray:
-    """Unit vectors with frame height ``zf`` and frame azimuth ``az``, with
-    the frame's z axis turned onto the plane axis (0, sin t, cos t).
+def sample_sphere_yz(rng: RngStream, n: int):
+    """The y and z components of ``sample_sphere(rng, n)``, each (n,), without
+    computing x: every measurement axis lies in the y-z plane."""
+    z, az, r = _sphere_coordinates(rng, n)
+    return r * np.sin(az), z
+
+
+def _turn_frame(yf, zf, sin_t, cos_t):
+    """y and z of vectors with frame components (yf, zf) once the frame's z
+    axis is turned onto the plane axis (0, sin t, cos t); x is unchanged.
 
     ``sin_t`` and ``cos_t`` are one axis (scalars) or one axis per vector
-    (arrays broadcasting against ``zf``); returns an (n, 3) array.
+    (arrays broadcasting against ``zf``).
     """
-    rf = np.sqrt(np.maximum(1.0 - zf * zf, 0.0))
-    xf = rf * np.cos(az)
-    yf = rf * np.sin(az)
-    return np.stack(
-        [xf, zf * sin_t + yf * cos_t, zf * cos_t - yf * sin_t], axis=-1
-    )
+    return zf * sin_t + yf * cos_t, zf * cos_t - yf * sin_t
 
 
 def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int) -> np.ndarray:
@@ -130,4 +142,6 @@ def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int) -> np.ndarr
     draws = rng.uniform((n, 2))
     zf = sign * (1.0 - draws[:, 0])
     az = TWO_PI * draws[:, 1]
-    return _rotate_from_frame(zf, az, math.sin(axis.theta), math.cos(axis.theta))
+    rf = _radius(zf)
+    y, z = _turn_frame(rf * np.sin(az), zf, math.sin(axis.theta), math.cos(axis.theta))
+    return np.stack([rf * np.cos(az), y, z], axis=-1)

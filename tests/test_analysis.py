@@ -300,26 +300,56 @@ class TestSweep:
         assert best == results[first]
 
     def test_monte_carlo_rows_take_one_estimate_per_role(self):
+        # role k (ab, ab', a'b, a'b') draws n pairs once, block i on
+        # rng.split(k).split(i), and measures them along every axis pair
         m, n, block_size = 4, 3000, 1024
-        best, table = sweep_chsh(
-            Sign(), math.pi / m, mode="montecarlo", n=n, rng=RngStream(81),
-            block_size=block_size,
-        )
-        grid = table.grid
-        for quad in [(0, 1, 2, 3), (1, 2, 1, 2)]:  # the second has a = a', b = b'
-            i, j, k, l = quad
-            es = [
-                estimate_correlation(
-                    Sign(), StaticSphere(), grid[x], grid[y], n,
-                    RngStream(81).split((role * m + x) * m + y), block_size,
-                ).e_hat
-                for role, (x, y) in enumerate([(i, j), (i, l), (k, j), (k, l)])
-            ]
-            c_value = (abs(es[0] - es[1]) + abs(es[2] + es[3])) / v_max(Sign()) ** 2
-            assert table.c_values[quad] == c_value
-            # four distinct draws, even where all four roles share one axis pair
-            assert len(set(es)) == 4
-        assert best.c_value == table.c_values.max()
+        roles = [(0, 1), (0, 3), (2, 1), (2, 3)]  # positions in (a, b, a', b')
+        for model in (Direct(), Sign(), EnsembleDep(), StochasticSign()):
+            best, table = sweep_chsh(
+                model, math.pi / m, mode="montecarlo", n=n, rng=RngStream(81),
+                block_size=block_size,
+            )
+            grid = table.grid
+            if isinstance(model, StochasticSign):
+                # flips are drawn per axis, so an entry is not the one-pair
+                # estimate: rebuild the tables from the kernel's block sums
+                axes = [Axis(t) for t in grid]
+                es = []
+                for role in range(4):
+                    total = total_sq = 0.0
+                    for i, start in enumerate(range(0, n, block_size)):
+                        s, s2 = measure_pair_batch(
+                            model, StaticSphere(), axes, axes,
+                            min(block_size, n - start), RngStream(81).split(role).split(i),
+                        )
+                        total, total_sq = total + s, total_sq + s2
+                    e = total / n
+                    std_err = np.sqrt((total_sq - n * e * e) / (n - 1) / n)
+                    closed = np.array([[e_closed(model, x, y) for y in grid] for x in grid])
+                    assert np.all(np.abs(e - closed) <= 5.0 * std_err)
+                    es.append(e.tolist())
+            else:
+                # every entry is the one-pair estimate on the role's stream
+                es = [
+                    [
+                        [
+                            estimate_correlation(
+                                model, StaticSphere(), x, y, n, RngStream(81).split(role),
+                                block_size,
+                            ).e_hat
+                            for y in grid
+                        ]
+                        for x in grid
+                    ]
+                    for role in range(4)
+                ]
+            for quad in itertools.product(range(m), repeat=4):
+                row = [es[role][quad[x]][quad[y]] for role, (x, y) in enumerate(roles)]
+                c_value = (abs(row[0] - row[1]) + abs(row[2] + row[3])) / v_max(model) ** 2
+                assert table.c_values[quad] == c_value
+                if quad == (1, 2, 1, 2):  # a = a', b = b': still four distinct draws
+                    assert len(set(row)) == 4
+            assert best.c_value == table.c_values.max()
 
 
 class TestJointTable:

@@ -1,13 +1,23 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bellsphere.oracles
-from bellsphere.cli import _check_mean_preservation, main, parse_angle, run_verification
+from bellsphere import SweepTable, model_from_name, sweep_chsh
+from bellsphere.cli import (
+    _check_mean_preservation,
+    _format_cell,
+    _sweep_chunks,
+    main,
+    parse_angle,
+    run_verification,
+)
 from bellsphere.geometry import RngStream
 
 
@@ -197,6 +207,79 @@ class TestChshAndSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "n >= 2" in captured.err
+
+
+class TestSweepRendering:
+    """The sweep renderer against a reference restated here: one
+    ``_format_cell`` join per CSV row, and ``json.dumps`` of one object per
+    row with non-finite floats written as null."""
+
+    COLUMNS = ("model", "a", "b", "a_prime", "b_prime", "c_value", "v_max", "violated")
+
+    def reference(self, model, table, fmt):
+        rows = [
+            (model, *quad, c, table.v_max, flag)
+            for quad, c, flag in zip(
+                itertools.product(table.grid, repeat=4),
+                table.c_values.ravel().tolist(),
+                table.violated.ravel().tolist(),
+            )
+        ]
+        if fmt == "csv":
+            lines = [",".join(self.COLUMNS)] + [",".join(map(_format_cell, row)) for row in rows]
+            return "\n".join(lines) + "\n"
+        objects = [
+            {
+                column: None if isinstance(v, float) and not math.isfinite(v) else v
+                for column, v in zip(self.COLUMNS, row)
+            }
+            for row in rows
+        ]
+        return json.dumps(objects, indent=2, allow_nan=False) + "\n"
+
+    def assert_same_text(self, got, want):
+        # the first differing line, not a diff of megabytes of text
+        if got != want:
+            pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+            line, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+            pytest.fail(f"line {line}: {g!r} != {w!r}")
+
+    def rendered(self, model, table, fmt):
+        text = "".join(_sweep_chunks(model, table, fmt))
+        if fmt == "csv":
+            stamp, text = text.split("\n", 1)
+            assert stamp.startswith("# generated_at=")
+        return text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    @pytest.mark.parametrize("name", ["direct", "sign", "stochastic", "ensemble"])
+    def test_closed_sweeps_match_reference(self, name, m, fmt):
+        best, table = sweep_chsh(model_from_name(name), math.pi / m)
+        self.assert_same_text(
+            self.rendered(best.model, table, fmt), self.reference(best.model, table, fmt)
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_c_values(self, fmt):
+        c = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5, math.nan, 1.0] * 2)
+        c = c.reshape(2, 2, 2, 2)
+        table = SweepTable([0.0, math.pi / 2], c, c > 2.0, 0.5)
+        text = self.rendered("sign", table, fmt)
+        self.assert_same_text(text, self.reference("sign", table, fmt))
+        if fmt == "json":
+            assert [row["c_value"] for row in strict_json(text)][:3] == [None, None, None]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flags_that_are_not_a_function_of_c(self, fmt):
+        # Monte Carlo flags depend on each row's standard error, so one C
+        # value can be flagged in one row and not in another
+        gen = np.random.default_rng(3)
+        c = gen.choice([1.5, 2.25, 2.5], size=3**4).reshape(3, 3, 3, 3)
+        violated = gen.uniform(size=c.shape) < 0.5
+        table = SweepTable([0.0, 1.0, 2.0], c, violated, 1.0)
+        assert {(x, f) for x, f in zip(c.ravel(), violated.ravel())} >= {(2.5, True), (2.5, False)}
+        self.assert_same_text(self.rendered("direct", table, fmt), self.reference("direct", table, fmt))
 
 
 class TestSequential:

@@ -21,6 +21,7 @@ from bellsphere import (
     model_from_name,
     model_name,
     outcome_probabilities,
+    project,
     projection_delta_alt_form,
     sequence_outcomes,
     v_max,
@@ -56,39 +57,37 @@ class TestModelPlumbing:
 
 class TestPointlike:
     def test_direct_returns_projection(self):
-        assert measure_pointlike(Direct(), Z_AXIS[None], Axis(math.pi / 3)) == (
-            pytest.approx([0.5])
-        )
+        p = project(Z_AXIS[None], Axis(math.pi / 3))
+        assert measure_pointlike(Direct(), p) == pytest.approx([0.5])
 
     def test_sign_thresholds(self):
-        assert measure_pointlike(Sign(), Z_AXIS[None], Axis(0.0)).tolist() == [0.5]
-        assert measure_pointlike(Sign(), -Z_AXIS[None], Axis(0.0)).tolist() == [-0.5]
+        assert measure_pointlike(Sign(), project(Z_AXIS[None], Axis(0.0))).tolist() == [0.5]
+        assert measure_pointlike(Sign(), project(-Z_AXIS[None], Axis(0.0))).tolist() == [-0.5]
 
     def test_zero_projection_counts_as_positive(self):
         # x is orthogonal to the measurement plane: projection is exactly 0
         x = np.array([[1.0, 0.0, 0.0]])
-        assert measure_pointlike(Sign(), x, Axis(1.0)).tolist() == [0.5]
+        assert measure_pointlike(Sign(), project(x, Axis(1.0))).tolist() == [0.5]
 
     def test_sign_outcomes_are_pure_in_the_vector(self):
-        j = np.array([[0.0, 0.6, -0.8]])
-        a = Axis(2.0)
-        assert np.array_equal(measure_pointlike(Sign(), j, a), measure_pointlike(Sign(), j, a))
+        p = project(np.array([[0.0, 0.6, -0.8]]), Axis(2.0))
+        assert np.array_equal(measure_pointlike(Sign(), p), measure_pointlike(Sign(), p))
 
     def test_stochastic_agreement_frequency(self):
         js = np.tile(Z_AXIS, (1_000_000, 1))
-        out = measure_pointlike(StochasticSign(), js, Axis(0.0), RngStream(41))
+        out = measure_pointlike(StochasticSign(), project(js, Axis(0.0)), RngStream(41))
         p_hat = float(np.mean(out > 0))
         assert abs(p_hat - 0.75) <= 5.0 * math.sqrt(0.75 * 0.25 / len(js))
         assert sigma_bound(out, 0.25) <= 5.0  # mean outcome given J_a > 0
 
     def test_stochastic_reduces_to_sign_at_unit_weight(self):
         js = np.tile(Z_AXIS, (100, 1))
-        out = measure_pointlike(StochasticSign(1.0), js, Axis(0.0), RngStream(42))
+        out = measure_pointlike(StochasticSign(1.0), project(js, Axis(0.0)), RngStream(42))
         assert np.all(out == 0.5)
 
     def test_ensemble_model_is_rejected(self):
         with pytest.raises(TypeError):
-            measure_pointlike(EnsembleDep(), Z_AXIS[None], Axis(0.0), RngStream(1))
+            measure_pointlike(EnsembleDep(), project(Z_AXIS[None], Axis(0.0)), RngStream(1))
 
 
 class TestEnsembleMeasurement:

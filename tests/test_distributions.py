@@ -6,17 +6,20 @@ import pytest
 from bellsphere import (
     Axis,
     ConfigDensity,
+    Direct,
     FullSphere,
     Hemisphere,
     RngStream,
     RotatingHemispheres,
     StaticSphere,
     ensemble_mean_projection,
+    measure_pair_batch,
     project,
     quad_density_normalization,
     quad_ring_mean_projection,
     sample_hemisphere,
     sample_pair,
+    sample_sphere,
 )
 
 N_CONST = 1.0 / (2.0 * math.pi**2)
@@ -115,36 +118,54 @@ class TestEnsembles:
         assert sigma_bound(p, ensemble_mean_projection(ensemble, b)) <= 5.0
 
 
+def plane_vectors(y, z):
+    # particle 1's vectors from sample_pair's in-plane components (x = 0,
+    # which no projection reads)
+    return np.stack([np.zeros_like(y), y, z], axis=-1)
+
+
 class TestPairSource:
     @pytest.mark.parametrize("source", [StaticSphere(), RotatingHemispheres()])
     def test_anti_correlation_is_exact(self, source):
-        j1, j2 = sample_pair(source, RngStream(31), 100_000)
-        assert np.all(j1 + j2 == 0.0)
+        # j2 = -j1 is folded into particle 2's projection: on a common axis
+        # the direct readouts cancel exactly
+        for theta in (0.0, 0.9, 2.5):
+            o1, o2 = measure_pair_batch(
+                Direct(), source, Axis(theta), Axis(theta), 100_000, RngStream(31)
+            )
+            assert np.all(o1 + o2 == 0.0)
 
     @pytest.mark.parametrize("source", [StaticSphere(), RotatingHemispheres()])
     def test_same_axis_product_is_minus_third(self, source):
-        j1, j2 = sample_pair(source, RngStream(32), 400_000)
+        j1 = plane_vectors(*sample_pair(source, RngStream(32), 400_000))
         a = Axis(0.9)
-        products = project(j1, a) * project(j2, a)
+        products = project(j1, a) * project(-j1, a)
         assert sigma_bound(products, -1.0 / 3.0) <= 5.0
 
     @pytest.mark.parametrize("source", [StaticSphere(), RotatingHemispheres()])
     def test_marginal_is_uniform(self, source):
-        j1, _ = sample_pair(source, RngStream(33), 400_000)
-        n = len(j1)
-        assert sigma_bound(j1[:, 2], 0.0) <= 5.0
-        assert sigma_bound(j1[:, 2] ** 2, 1.0 / 3.0) <= 5.0
+        y, z = sample_pair(source, RngStream(33), 400_000)
+        n = len(z)
+        assert sigma_bound(z, 0.0) <= 5.0
+        assert sigma_bound(z**2, 1.0 / 3.0) <= 5.0
+        assert sigma_bound(y**2, 1.0 / 3.0) <= 5.0
         for theta in (0.0, 1.0, 2.5):
-            p_hat = float(np.mean(project(j1, Axis(theta)) > 0))
+            p_hat = float(np.mean(project(plane_vectors(y, z), Axis(theta)) > 0))
             assert abs(p_hat - 0.5) <= 5.0 * math.sqrt(0.25 / n)
 
     def test_rotated_axis_product(self):
         # full two-axis correlation, not just the aligned case
-        j1, j2 = sample_pair(RotatingHemispheres(), RngStream(34), 400_000)
-        prod = project(j1, Axis(0.0)) * project(j2, Axis(math.pi / 3))
+        j1 = plane_vectors(*sample_pair(RotatingHemispheres(), RngStream(34), 400_000))
+        prod = project(j1, Axis(0.0)) * project(-j1, Axis(math.pi / 3))
         assert sigma_bound(prod, -math.cos(math.pi / 3) / 3.0) <= 5.0
 
     def test_scalar_draw(self):
-        j1, j2 = sample_pair(StaticSphere(), RngStream(35), 1)
-        assert j1.shape == (1, 3)
-        assert np.array_equal(j2, -j1)
+        y, z = sample_pair(StaticSphere(), RngStream(35), 1)
+        assert y.shape == z.shape == (1,)
+        assert y[0] ** 2 + z[0] ** 2 <= 1.0
+
+    def test_sphere_components_are_sample_sphere_without_x(self):
+        y, z = sample_pair(StaticSphere(), RngStream(36), 1000)
+        j = sample_sphere(RngStream(36), 1000)
+        assert y.tobytes() == j[:, 1].copy().tobytes()
+        assert z.tobytes() == j[:, 2].copy().tobytes()
