@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import Axis, RngStream, angle_delta
 from .distributions import PairSource, StaticSphere
@@ -356,6 +355,10 @@ def fine_feasible(
             raise ValueError(
                 f"marginals for observable {obs_axis} sum to {pair_sum!r}, not 1"
             )
+    # imported here: only this decision needs SciPy, and importing it is
+    # most of the package's start-up time
+    from scipy.optimize import nnls
+
     a_eq, b_eq = _feasibility_system(correlations, marginals)
     x, _ = nnls(a_eq, b_eq)
     if float(np.max(np.abs(a_eq @ x - b_eq))) > 1e-9:

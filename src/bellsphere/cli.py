@@ -91,9 +91,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    # RngStream keys Philox with the seed's low 64 bits, so a seed outside
+    # [0, 2^64) would silently alias one inside it
+    if value is None:
+        value = int(os.environ.get(SEED_ENV_VAR, "0"))
+    if not 0 <= value < 2**64:
+        raise _UsageError(f"seed must be in [0, 2^64), got {value}")
+    return value
 
 
 def _format_cell(value) -> str:

@@ -152,6 +152,43 @@ class TestCorrelate:
         assert data_rows(by_flag.stdout) == data_rows(by_env.stdout)
 
 
+SEEDED_COMMANDS = [
+    ["correlate", "--model", "sign", "--theta-a", "0", "--theta-b", "1", "--trials", "500"],
+    ["chsh", "--model", "sign", "--angles", "0,pi/4,pi/2,3pi/4", "--mode", "montecarlo",
+     "--trials", "500"],
+    ["sweep", "--model", "sign", "--step", "pi/4"],
+    ["sequential", "--axes", "0,pi/3", "--trials", "500"],
+    ["verify", "--feasibility-samples", "20"],
+]
+
+
+class TestSeedRange:
+    # the generator keys on the seed's low 64 bits: -1 used to print the rows
+    # of 2^64 - 1, and 2^64 those of 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=lambda c: c[0])
+    def test_flag_seed_outside_64_bits_is_usage_error(self, command, seed, capsys):
+        assert main([*command, "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"seed must be in [0, 2^64), got {seed}" in captured.err
+
+    @pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=lambda c: c[0])
+    def test_env_seed_outside_64_bits_is_usage_error(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("BELLSPHERE_SEED", "-1")
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be in [0, 2^64), got -1" in captured.err
+
+    def test_largest_seed_runs(self):
+        command = [*SEEDED_COMMANDS[0], "--seed"]
+        largest = run_cli(*command, str(2**64 - 1))
+        assert largest.returncode == 0, largest.stderr
+        assert data_rows(largest.stdout) != data_rows(run_cli(*command, "0").stdout)
+
+
 class TestChshAndSweep:
     def test_chsh_closed_maximal_violation(self):
         result = run_cli(
@@ -367,3 +404,42 @@ class TestVerify:
         code = main(["verify", "--seed", "5", "--feasibility-samples", "50"])
         capsys.readouterr()
         assert code == 2
+
+
+_SCIPY_DEFERRAL_PROBE = """
+import contextlib, io, sys
+import bellsphere
+import bellsphere.cli
+assert "scipy" not in sys.modules, "importing the package loaded scipy"
+sign = ["--model", "sign"]
+monte_carlo = ["--mode", "montecarlo", "--trials", "500"]
+for argv in (
+    ["correlate", *sign, "--theta-a", "0", "--theta-b", "1", "--trials", "500"],
+    ["chsh", *sign, "--angles", "0,pi/4,pi/2,3pi/4"],
+    ["chsh", *sign, "--angles", "0,pi/4,pi/2,3pi/4", *monte_carlo],
+    ["sweep", *sign, "--step", "pi/4"],
+    ["sweep", *sign, "--step", "pi/4", *monte_carlo],
+    ["sequential", "--axes", "0,pi/3", "--trials", "500"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert bellsphere.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, f"{argv[0]} loaded scipy"
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = bellsphere.cli.main(["verify", "--feasibility-samples", "20"])
+assert code == 0 and "verification PASSED" in out.getvalue(), out.getvalue()
+assert "scipy.optimize" in sys.modules, "verify decided feasibility without scipy"
+"""
+
+
+def test_only_the_feasibility_decision_loads_scipy():
+    # importing scipy.optimize is most of a fresh start-up; every command
+    # but verify must run without it
+    env = dict(os.environ)
+    env.pop("BELLSPHERE_SEED", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_DEFERRAL_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
