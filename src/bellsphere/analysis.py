@@ -306,22 +306,24 @@ class JointTable:
         self.probs = np.maximum(probs, 0.0)
 
 
-def _feasibility_system(correlations, marginals):
+def _feasibility_matrix():
     atoms = list(itertools.product((0, 1), repeat=4))
     rows = [[1.0] * 16]
-    rhs = [1.0]
     for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
         rows.append(
             [OUTCOME_VALUES[atom[i]] * OUTCOME_VALUES[atom[j]] for atom in atoms]
         )
-    rhs.extend(correlations)
     for obs_axis in range(4):
         for outcome_index in (1, 0):  # +1/2 first, then -1/2
             rows.append(
                 [1.0 if atom[obs_axis] == outcome_index else 0.0 for atom in atoms]
             )
-    rhs.extend(marginals)
-    return np.array(rows), np.array(rhs)
+    matrix = np.array(rows)
+    matrix.setflags(write=False)
+    return matrix
+
+
+_FEASIBILITY_MATRIX = _feasibility_matrix()
 
 
 def fine_feasible(
@@ -337,7 +339,9 @@ def fine_feasible(
     P(X = -1/2)) per observable in the order (v_1a, v_1a', v_2b, v_2b').
     Feasibility asks for a nonnegative solution of the 13 equality rows
     over the 16 atoms (one normalization, four correlation and eight
-    marginal rows).  Nonnegative least squares returns the closest table
+    marginal rows).  The rows form one read-only matrix built at
+    import; a call builds only the right-hand side (1, correlations,
+    marginals).  Nonnegative least squares returns the closest table
     with every entry >= 0; it is accepted when its largest row residual is
     at most 1e-9, the single tolerance of this decision, and returned as
     the witness.
@@ -359,9 +363,9 @@ def fine_feasible(
     # most of the package's start-up time
     from scipy.optimize import nnls
 
-    a_eq, b_eq = _feasibility_system(correlations, marginals)
-    x, _ = nnls(a_eq, b_eq)
-    if float(np.max(np.abs(a_eq @ x - b_eq))) > 1e-9:
+    b_eq = np.array([1.0, *correlations, *marginals])
+    x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
+    if float(np.max(np.abs(_FEASIBILITY_MATRIX @ x - b_eq))) > 1e-9:
         return False, None
     return True, JointTable(x.reshape(2, 2, 2, 2))
 

@@ -94,7 +94,11 @@ def _resolve_seed(value: int | None) -> int:
     # RngStream keys Philox with the seed's low 64 bits, so a seed outside
     # [0, 2^64) would silently alias one inside it
     if value is None:
-        value = int(os.environ.get(SEED_ENV_VAR, "0"))
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     if not 0 <= value < 2**64:
         raise _UsageError(f"seed must be in [0, 2^64), got {value}")
     return value

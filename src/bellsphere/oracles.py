@@ -47,17 +47,19 @@ def quad_expectation(f, spec: QuadratureSpec | None = None) -> float:
     ``f`` maps an (m, 3) array of unit vectors to (m,) values.  Midpoint on
     (cos theta, phi) makes all node weights equal, so the average is just
     the mean of f over the grid; error falls off as the square of the grid
-    spacing for smooth integrands.
+    spacing for smooth integrands.  The nodes are built from the grid's two
+    axes: r = sqrt(1 - u^2) per u and cos phi, sin phi per phi, broadcast
+    into one (n_theta * n_phi, 3) array, u-major.
     """
     spec = spec or QuadratureSpec()
     u = -1.0 + (np.arange(spec.n_theta) + 0.5) * (2.0 / spec.n_theta)
     phi = (np.arange(spec.n_phi) + 0.5) * (_TWO_PI / spec.n_phi)
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
-    rr = np.sqrt(np.maximum(1.0 - uu * uu, 0.0))
-    points = np.stack(
-        [rr * np.cos(pp), rr * np.sin(pp), uu], axis=-1
-    ).reshape(-1, 3)
-    return float(np.mean(f(points)))
+    r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
+    points = np.empty((spec.n_theta, spec.n_phi, 3))
+    np.multiply(r, np.cos(phi), out=points[:, :, 0])
+    np.multiply(r, np.sin(phi), out=points[:, :, 1])
+    points[:, :, 2] = u[:, None]
+    return float(np.mean(f(points.reshape(-1, 3))))
 
 
 def _sign_outcome_weight(outcome: float, sign: int, p_hi: float) -> float:

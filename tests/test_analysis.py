@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellsphere import analysis
 from bellsphere import (
     Axis,
     Direct,
@@ -439,6 +440,28 @@ class TestFineFeasible:
                 if feasible:
                     assert table.probs.min() >= 0.0
                     assert table_correlations(table) == pytest.approx(tuple(pushed), abs=1e-9)
+
+    def test_constant_matrix_matches_row_by_row_construction(self):
+        # restated row by row: normalization, the four correlations, then the
+        # eight marginals with +1/2 first
+        values = (-0.5, 0.5)
+        atoms = list(itertools.product((0, 1), repeat=4))
+        rows = [[1.0] * 16]
+        for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
+            rows.append([values[atom[i]] * values[atom[j]] for atom in atoms])
+        for obs_axis in range(4):
+            for outcome_index in (1, 0):
+                rows.append([1.0 if atom[obs_axis] == outcome_index else 0.0 for atom in atoms])
+        reference = np.array(rows)
+        matrix = analysis._FEASIBILITY_MATRIX
+        assert matrix.dtype == reference.dtype
+        assert matrix.shape == (13, 16)
+        assert matrix.flags.c_contiguous
+        assert matrix.tobytes() == reference.tobytes()
+
+    def test_constant_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            analysis._FEASIBILITY_MATRIX[0, 0] = 2.0
 
     def test_chsh_inequality_checker_boundary(self):
         assert chsh_inequalities_hold([0.125, -0.125, 0.125, 0.125])

@@ -182,6 +182,20 @@ class TestSeedRange:
         assert captured.out == ""
         assert "seed must be in [0, 2^64), got -1" in captured.err
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    @pytest.mark.parametrize(
+        "command", [SEEDED_COMMANDS[0], SEEDED_COMMANDS[3], SEEDED_COMMANDS[4]],
+        ids=lambda c: c[0],
+    )
+    def test_env_seed_not_an_integer_names_the_variable(
+        self, command, raw, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("BELLSPHERE_SEED", raw)
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"BELLSPHERE_SEED must be an integer, got '{raw}'" in captured.err
+
     def test_largest_seed_runs(self):
         command = [*SEEDED_COMMANDS[0], "--seed"]
         largest = run_cli(*command, str(2**64 - 1))

@@ -43,6 +43,28 @@ class TestQuadExpectation:
         assert 3.0 <= errors[0] / errors[1] <= 5.0
         assert 3.0 <= errors[1] / errors[2] <= 5.0
 
+    @pytest.mark.parametrize(
+        "spec", [None, QuadratureSpec(24, 40)], ids=["default", "24x40"]
+    )
+    def test_nodes_match_meshgrid_construction(self, spec):
+        # reference: every node computed on the full meshgrid, compared bit for bit
+        seen = []
+
+        def capture(pts):
+            seen.append(pts)
+            return pts[:, 2]
+
+        quad_expectation(capture, spec)
+        grid = spec or QuadratureSpec()
+        u = -1.0 + (np.arange(grid.n_theta) + 0.5) * (2.0 / grid.n_theta)
+        phi = (np.arange(grid.n_phi) + 0.5) * (2.0 * math.pi / grid.n_phi)
+        uu, pp = np.meshgrid(u, phi, indexing="ij")
+        rr = np.sqrt(np.maximum(1.0 - uu * uu, 0.0))
+        reference = np.stack([rr * np.cos(pp), rr * np.sin(pp), uu], axis=-1).reshape(-1, 3)
+        (nodes,) = seen
+        assert nodes.shape == reference.shape
+        assert nodes.tobytes() == reference.tobytes()
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(n_theta=4)
