@@ -118,7 +118,8 @@ def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
     pairs measured along every axis pair of one role.
 
     Trials are partitioned into fixed-size blocks; block i draws from the
-    child stream ``rng.split(i)``, every entry of the table reads the same
+    child stream ``rng.split(i)`` (one generator re-keyed per block, see
+    :meth:`RngStream.children`), every entry of the table reads the same
     draws, and block sums are added in block order, so the tables are
     bit-identical for a given (seed, stream_id, block_size).
     """
@@ -128,9 +129,9 @@ def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
         raise ValueError("block_size must be at least 1")
     axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
     total = total_sq = 0.0
-    for i, start in enumerate(range(0, n, block_size)):
+    for start, block_rng in zip(range(0, n, block_size), rng.children()):
         s, s2 = measure_pair_batch(
-            model, source, axes_a, axes_b, min(block_size, n - start), rng.split(i)
+            model, source, axes_a, axes_b, min(block_size, n - start), block_rng
         )
         total, total_sq = total + s, total_sq + s2
     e_hat = total / n

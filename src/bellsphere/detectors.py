@@ -111,12 +111,19 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
         )
     if isinstance(model, Direct):
         return p
-    base = np.where(p >= 0.0, 0.5, -0.5)
-    if isinstance(model, Sign):
-        return base
-    if rng is None:
-        raise ValueError("StochasticSign needs an RngStream")
-    return np.where(rng.uniform(p.shape) < model.p_hi, base, -base)
+    return np.subtract(_plus(model, p, rng), 0.5)
+
+
+def _plus(model: DetectorModel, p, rng: RngStream | None):
+    """Where a +-1/2 point-like detector reads +1/2, as a boolean mask of
+    ``p``'s shape; the outcome is the mask minus 1/2."""
+    plus = p >= 0.0
+    if isinstance(model, StochasticSign):
+        if rng is None:
+            raise ValueError("StochasticSign needs an RngStream")
+        # the projection's sign is kept where the flip draw is below p_hi
+        np.equal(plus, rng.uniform(p.shape) < model.p_hi, out=plus)
+    return plus
 
 
 def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]:
@@ -178,7 +185,17 @@ def _projections(y, z, axes, sign: float) -> np.ndarray:
     """
     sin_t = np.array([[sign * math.sin(axis.theta)] for axis in axes])
     cos_t = np.array([[sign * math.cos(axis.theta)] for axis in axes])
-    return y * sin_t + z * cos_t
+    p = y * sin_t
+    p += z * cos_t
+    return p
+
+
+def _quarter_sums(disagree, n: int):
+    """(s, s2) tables of a +-1/2 model's block of ``n`` pairs from the
+    number of pairs whose outcomes disagree, per axis pair: each product is
+    -1/4 there and +1/4 elsewhere."""
+    s = np.array([[0.25 * (n - 2 * k) for k in row] for row in disagree])
+    return s, np.full(s.shape, n / 16)
 
 
 def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, rng: RngStream):
@@ -189,10 +206,16 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     (n,) outcome arrays; or they are sequences of m_a and m_b axes, and the
     result is (s, s2), the (m_a, m_b) tables of the block's sums of o1 o2 and
     of (o1 o2)^2 for every axis pair.  All pairs of axes are measured on the
-    block's one set of draws, and each entry is summed in pair order along
-    a contiguous row, so entry (i, j) is bit for bit the sum of the
+    block's one set of draws, so entry (i, j) is bit for bit the sum of the
     one-axis outcomes for (a_i, b_j), except for StochasticSign, which
-    draws its flips for every axis.  A block holds O((m_a + m_b) n) floats.
+    draws its flips for every axis.
+
+    A point-like block holds its (m_a + m_b) n projections as floats.
+    ``Direct`` multiplies them one a-axis at a time and sums the float
+    products in pair order along a contiguous row.  The +-1/2 models keep
+    their outcomes as boolean masks and multiply nothing: each product is
+    +-1/4, so every partial sum of a block is exact in any order, and the
+    sums are 1/4 (n - 2k) and n/16, k the pairs whose outcomes disagree.
 
     Point-like models draw particle 1's in-plane components from the source
     and measure j1 and j2 = -j1 locally.  The ensemble detector instead
@@ -206,31 +229,37 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     axes_a, axes_b = ([a], [b]) if single else (a, b)
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
-        o1 = np.where(draws[:, 0] < 0.5, 0.5, -0.5)
-
-        def row(i):
-            # particle 2 occupies the opposite hemisphere about a_i; its +1/2
-            # probability along b is (1 - sign(o1) cos(b - a_i)) / 2
-            cos_ab = np.array(
-                [[math.cos(angle_delta(axes_a[i].theta, axis.theta))] for axis in axes_b]
-            )
-            return o1, np.where(draws[:, 1] < 0.5 * (1.0 - 2.0 * o1 * cos_ab), 0.5, -0.5)
-    else:
-        y, z = sample_pair(source, rng, n)
-        o1 = measure_pointlike(model, _projections(y, z, axes_a, 1.0), rng)
-        o2 = measure_pointlike(model, _projections(y, z, axes_b, -1.0), rng)
-
-        def row(i):
-            return o1[i], o2
-
+        # u2 is copied out of the draws: compares on a contiguous copy are
+        # cheaper than on the strided column, and there are 2 m_a m_b of them
+        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1].copy()
+        minus1 = ~plus1
+        # particle 2 occupies the opposite hemisphere about a_i, and reads
+        # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
+        cos_ab = [[math.cos(angle_delta(x.theta, y.theta)) for y in axes_b] for x in axes_a]
+        if single:
+            c = cos_ab[0][0]
+            plus2 = (plus1 & (u2 < 0.5 * (1.0 - c))) | (minus1 & (u2 < 0.5 * (1.0 + c)))
+            return np.subtract(plus1, 0.5), np.subtract(plus2, 0.5)
+        disagree = [
+            [
+                np.count_nonzero(plus1 & (u2 >= 0.5 * (1.0 - c)))
+                + np.count_nonzero(minus1 & (u2 < 0.5 * (1.0 + c)))
+                for c in row
+            ]
+            for row in cos_ab
+        ]
+        return _quarter_sums(disagree, n)
+    y, z = sample_pair(source, rng, n)
+    p1, p2 = _projections(y, z, axes_a, 1.0), _projections(y, z, axes_b, -1.0)
     if single:
-        o1_0, o2_0 = row(0)
-        return o1_0, o2_0[0]
-    s = np.empty((len(axes_a), len(axes_b)))
-    s2 = np.empty_like(s)
-    for i in range(len(axes_a)):
-        o1_i, o2_i = row(i)
-        prod = o1_i * o2_i
-        s[i] = prod.sum(axis=-1)
-        s2[i] = (prod * prod).sum(axis=-1)
-    return s, s2
+        return measure_pointlike(model, p1[0], rng), measure_pointlike(model, p2[0], rng)
+    if isinstance(model, Direct):
+        s = np.empty((len(axes_a), len(axes_b)))
+        s2 = np.empty_like(s)
+        for i in range(len(axes_a)):
+            prod = p1[i] * p2
+            s[i] = prod.sum(axis=-1)
+            s2[i] = np.multiply(prod, prod, out=prod).sum(axis=-1)
+        return s, s2
+    plus1, plus2 = _plus(model, p1, rng), _plus(model, p2, rng)
+    return _quarter_sums([[np.count_nonzero(r != q) for q in plus2] for r in plus1], n)

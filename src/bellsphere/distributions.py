@@ -185,8 +185,14 @@ def sample_pair(source: PairSource, rng: RngStream, n: int):
     if isinstance(source, RotatingHemispheres):
         draws = rng.uniform((n, 4))
         beta = TWO_PI * draws[:, 0]
-        side = np.where(draws[:, 1] < 0.5, 1.0, -1.0)
-        zf = side * (1.0 - draws[:, 2])
-        yf = _radius(zf) * np.sin(TWO_PI * draws[:, 3])
-        return _turn_frame(yf, zf, np.sin(beta), np.cos(beta))
+        # side +-1 by arithmetic on the mask: no branch on random bits
+        side = (draws[:, 1] < 0.5) * 2.0
+        side -= 1.0
+        zf = 1.0 - draws[:, 2]
+        zf *= side
+        yf = TWO_PI * draws[:, 3]
+        np.sin(yf, out=yf)
+        yf *= _radius(zf)
+        sin_beta = np.sin(beta)
+        return _turn_frame(yf, zf, sin_beta, np.cos(beta, out=beta))
     raise TypeError(f"not a pair source: {source!r}")

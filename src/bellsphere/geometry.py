@@ -11,6 +11,7 @@ bit-reproducible for a given seed and block size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,9 @@ class RngStream:
     pair reproduces the same bits on every platform and run.  Distinct
     stream ids give statistically independent sequences.  The object holds
     a cursor that advances as draws are consumed, so each unit of work
-    draws from a stream of its own (see :meth:`split`).
+    draws from a stream of its own (see :meth:`split`).  A loop over many
+    units walks the child streams with :meth:`children`, which re-keys one
+    generator instead of building one per unit.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -64,6 +67,29 @@ class RngStream:
         the block's position.
         """
         return RngStream(self.seed, _derive_stream_id(self.stream_id, index))
+
+    def children(self):
+        """The child streams ``split(0)``, ``split(1)``, ... in turn.
+
+        One stream is yielded again and again, re-keyed for each index, so a
+        child is valid only until the next one is taken.  Each draws the
+        same bits as a fresh ``split(index)``, whatever was drawn before:
+        re-keying sets the state ``Philox(key=(seed, child id))`` starts in,
+        counter 0 and an empty output buffer (``buffer_pos`` 4 of 4).
+        """
+        child = self.split(0)
+        yield child
+        for index in itertools.count(1):
+            child.stream_id = _derive_stream_id(self.stream_id, index)
+            child._gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": (0, 0, 0, 0), "key": (self.seed, child.stream_id)},
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield child
 
 
 @dataclass(frozen=True)
@@ -96,15 +122,19 @@ def project(j: np.ndarray, axis: Axis):
 
 def _sphere_coordinates(rng: RngStream, n: int):
     """Height z = 2u - 1, azimuth 2 pi v and distance from the z axis of ``n``
-    uniform unit vectors."""
+    uniform unit vectors, each a fresh (n,) array."""
     draws = rng.uniform((n, 2))
-    z = 2.0 * draws[:, 0] - 1.0
+    z = 2.0 * draws[:, 0]
+    z -= 1.0
     return z, TWO_PI * draws[:, 1], _radius(z)
 
 
 def _radius(z):
-    # distance from the z axis of a unit vector at height z
-    return np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    # distance from the z axis of a unit vector at height z; |z| <= 1 keeps
+    # 1 - z^2 >= 0 in floating point, so no clamp is needed
+    r = np.multiply(z, z)
+    np.subtract(1.0, r, out=r)
+    return np.sqrt(r, out=r)
 
 
 def sample_sphere(rng: RngStream, n: int) -> np.ndarray:
@@ -117,7 +147,8 @@ def sample_sphere_yz(rng: RngStream, n: int):
     """The y and z components of ``sample_sphere(rng, n)``, each (n,), without
     computing x: every measurement axis lies in the y-z plane."""
     z, az, r = _sphere_coordinates(rng, n)
-    return r * np.sin(az), z
+    r *= np.sin(az, out=az)
+    return r, z
 
 
 def _turn_frame(yf, zf, sin_t, cos_t):
@@ -127,7 +158,11 @@ def _turn_frame(yf, zf, sin_t, cos_t):
     ``sin_t`` and ``cos_t`` are one axis (scalars) or one axis per vector
     (arrays broadcasting against ``zf``).
     """
-    return zf * sin_t + yf * cos_t, zf * cos_t - yf * sin_t
+    y = zf * sin_t
+    y += yf * cos_t
+    z = zf * cos_t
+    z -= yf * sin_t
+    return y, z
 
 
 def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int) -> np.ndarray:
