@@ -199,8 +199,10 @@ def _chsh_scan(model, axes, mode, n, rng, source, block_size):
         es = np.array([e for e, _ in tables])
         std_errs = np.array([se for _, se in tables])
     else:
+        # a sweep's four roles share one grid: each distinct axis pair once
         pairs = [(x, y) for xs, ys in roles for x in xs for y in ys]
-        es = np.array([e_closed(model, x, y) for x, y in pairs]).reshape(4, m, m)
+        closed = {pair: e_closed(model, *pair) for pair in dict.fromkeys(pairs)}
+        es = np.array([closed[pair] for pair in pairs]).reshape(4, m, m)
         std_errs = None
 
     def by_quadruple(t):

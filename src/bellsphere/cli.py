@@ -32,6 +32,9 @@ EXIT_IO = 3
 
 SEED_ENV_VAR = "BELLSPHERE_SEED"
 SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
+# a Monte Carlo sweep block holds 32 float64 projections per pair at pi/16,
+# 16 MiB at this size
+MAX_BLOCK_SIZE = 65_536
 
 CORRELATION_COLUMNS = (
     "model",
@@ -197,9 +200,13 @@ def _sweep_chunks(model: str, table: analysis.SweepTable, fmt: str):
     for byte what ``_render`` writes for the same rows.
 
     Each distinct cell is encoded once: the model, v_max, each grid angle in
-    each column, and each distinct (C, violated) pair, C found by its bits
-    with ``np.unique``.  A row is then one of m heads (model, a), one of
-    m^3 middles (b, a', b') and one tail (C, v_max, violated).
+    each column, each distinct C (found by its bits with ``np.unique``) and
+    each violated flag.  A row is one of m heads (model, a), one of m^3
+    middles (b, a', b') and one of the tails (C, v_max, violated), numbered
+    2 * (index of C) + violated.  A chunk is an (m^3, 3) object array of
+    pieces: the separator and the chunk's head, the middles, and the rows'
+    tails gathered by key, joined once; the first row of the first chunk
+    has no separator.
     """
     if fmt == "json":
         def cell(value):
@@ -219,19 +226,19 @@ def _sweep_chunks(model: str, table: analysis.SweepTable, fmt: str):
     keys = 2 * inverse.reshape(m, m**3) + table.violated.reshape(m, m**3)
     a, b, a_prime, b_prime = ([f"{labels[k]}{cell(t)}," for t in table.grid] for k in range(1, 5))
     heads = [f"{row_open}{labels[0]}{cell(model)},{x}" for x in a]
-    middles = [x + y + z for x in b for y in a_prime for z in b_prime]
     v_max = f",{labels[6]}{cell(table.v_max)},{labels[7]}"
-    tails = [
-        f"{labels[5]}{cell(c)}{v_max}{cell(flag)}{row_close}"
-        for c in bits.view(np.float64).tolist()
-        for flag in (False, True)
-    ]
+    c_cells = [f"{labels[5]}{cell(c)}{v_max}" for c in bits.view(np.float64).tolist()]
+    flags = [f"{cell(flag)}{row_close}" for flag in (False, True)]
+    tails = np.array([c + flag for c in c_cells for flag in flags], dtype=object)
+    rows = np.empty((m**3, 3), dtype=object)
+    rows[:, 1] = [x + y + z for x in b for y in a_prime for z in b_prime]
     yield opening
     for i, head in enumerate(heads):
-        if i:
-            yield separator
-        rows = zip(middles, keys[i].tolist())
-        yield separator.join([head + mid + tails[key] for mid, key in rows])
+        rows[:, 0] = separator + head
+        if i == 0:
+            rows[0, 0] = head
+        rows[:, 2] = tails[keys[i]]
+        yield "".join(rows.ravel().tolist())
     yield closing
 
 
@@ -574,7 +581,7 @@ def _add_run_options(parser, trials_default: int):
         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
     )
     parser.add_argument("--trials", type=_positive_int, default=trials_default)
-    parser.add_argument("--block-size", type=_positive_int, default=4096)
+    parser.add_argument("--block-size", type=_block_size, default=4096)
 
 
 def _add_model_options(parser):
@@ -599,6 +606,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _block_size(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_BLOCK_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"block size must be at most {MAX_BLOCK_SIZE}, got {text!r}"
+        )
     return value
 
 

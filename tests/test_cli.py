@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import bellsphere.oracles
-from bellsphere import SweepTable, model_from_name, sweep_chsh
+from bellsphere import (
+    RotatingHemispheres,
+    StaticSphere,
+    SweepTable,
+    model_from_name,
+    sweep_chsh,
+)
 from bellsphere.cli import (
+    MAX_BLOCK_SIZE,
     _check_mean_preservation,
     _format_cell,
     _sweep_chunks,
@@ -232,6 +239,21 @@ class TestChshAndSweep:
         assert main(["sweep", "--model", "sign", "--step", step]) == 1
         assert "pi/16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["correlate", "--theta-a", "0", "--theta-b", "1"],
+        ["chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--mode", "montecarlo"],
+        ["sweep", "--step", "pi/16", "--mode", "montecarlo"],
+    ])
+    def test_block_size_above_the_bound_is_usage_error(self, command, capsys):
+        # a block's arrays grow with its size: it is rejected while parsing,
+        # before anything is allocated
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--model", "sign", "--block-size", str(MAX_BLOCK_SIZE + 1)])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_BLOCK_SIZE}" in captured.err
+
     def test_sweep_sign_boundary(self):
         result = run_cli("sweep", "--model", "sign", "--step", "pi/8", "--mode", "closed")
         assert result.returncode == 0
@@ -303,13 +325,47 @@ class TestSweepRendering:
         return text
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("m", [4, 8, 16])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
     @pytest.mark.parametrize("name", ["direct", "sign", "stochastic", "ensemble"])
     def test_closed_sweeps_match_reference(self, name, m, fmt):
+        # m = 1 is one chunk of one row: the row without a separator
         best, table = sweep_chsh(model_from_name(name), math.pi / m)
         self.assert_same_text(
             self.rendered(best.model, table, fmt), self.reference(best.model, table, fmt)
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", [StaticSphere(), RotatingHemispheres()])
+    def test_monte_carlo_sweeps_match_reference(self, source, fmt):
+        best, table = sweep_chsh(
+            model_from_name("ensemble"), math.pi / 4, mode="montecarlo", n=2000,
+            rng=RngStream(31), source=source, block_size=700,
+        )
+        assert table.violated.any() and not table.violated.all()
+        self.assert_same_text(
+            self.rendered(best.model, table, fmt), self.reference(best.model, table, fmt)
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_c_with_both_flags(self, fmt):
+        # a row's tail is numbered 2 * (index of its C's bits) + violated:
+        # 2.5 takes both flags, 0.0 and -0.0 are distinct bits, and each
+        # row must keep its own pair
+        c = np.array([2.5, 0.0, 2.5, -0.0, 1.0, 2.5, 2.5, 0.0] * 2).reshape(2, 2, 2, 2)
+        flags = [True, False, False, False, False, True, True, True]
+        violated = np.array(flags + flags[::-1]).reshape(c.shape)
+        table = SweepTable([0.0, math.pi / 2], c, violated, 0.5)
+        text = self.rendered("sign", table, fmt)
+        self.assert_same_text(text, self.reference("sign", table, fmt))
+        if fmt == "json":
+            pairs = [(row["c_value"], row["violated"]) for row in strict_json(text)]
+        else:
+            pairs = [
+                (float(c_value), flag == "true")
+                for *_, c_value, _, flag in (line.split(",") for line in text.splitlines()[1:])
+            ]
+        assert pairs == list(zip(c.ravel().tolist(), violated.ravel().tolist()))
+        assert {(2.5, True), (2.5, False)} <= set(pairs)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_c_values(self, fmt):
