@@ -590,7 +590,7 @@ def _add_model_options(parser):
     )
     parser.add_argument(
         "--p-hi",
-        type=float,
+        type=_p_hi,
         default=0.75,
         help="sign-agreement weight of the stochastic model (in [1/2, 1])",
     )
@@ -615,6 +615,13 @@ def _block_size(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"block size must be at most {MAX_BLOCK_SIZE}, got {text!r}"
         )
+    return value
+
+
+def _p_hi(text: str) -> float:
+    value = float(text)
+    if not 0.5 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"p_hi must lie in [1/2, 1], got {text!r}")
     return value
 
 

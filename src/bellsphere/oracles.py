@@ -18,6 +18,7 @@ from .distributions import Ensemble, FullSphere, Hemisphere
 from .detectors import DetectorModel, Sign, StochasticSign
 
 _TWO_PI = 2.0 * math.pi
+_QUAD_CHUNK_NODES = 65_536  # most quadrature nodes handed to f at once
 
 
 def _reduced(delta: float) -> float:
@@ -44,22 +45,29 @@ class QuadratureSpec:
 def quad_expectation(f, spec: QuadratureSpec | None = None) -> float:
     """Sphere average (1/4pi) integral of f dOmega by the midpoint rule.
 
-    ``f`` maps an (m, 3) array of unit vectors to (m,) values.  Midpoint on
-    (cos theta, phi) makes all node weights equal, so the average is just
-    the mean of f over the grid; error falls off as the square of the grid
-    spacing for smooth integrands.  The nodes are built from the grid's two
-    axes: r = sqrt(1 - u^2) per u and cos phi, sin phi per phi, broadcast
-    into one (n_theta * n_phi, 3) array, u-major.
+    ``f`` maps an (m, 3) array of unit vectors to (m,) values, node by node.
+    Midpoint on (cos theta, phi) makes all node weights equal, so the average
+    is the mean of f over the grid; error falls off as the square of the grid
+    spacing for smooth integrands.  The nodes (r = sqrt(1 - u^2) per u, cos phi
+    and sin phi per phi) reach f u-major, in chunks of whole u-rows of at most
+    65,536 nodes (one row if n_phi is larger), each freed before the next.
     """
     spec = spec or QuadratureSpec()
     u = -1.0 + (np.arange(spec.n_theta) + 0.5) * (2.0 / spec.n_theta)
     phi = (np.arange(spec.n_phi) + 0.5) * (_TWO_PI / spec.n_phi)
     r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
-    points = np.empty((spec.n_theta, spec.n_phi, 3))
-    np.multiply(r, np.cos(phi), out=points[:, :, 0])
-    np.multiply(r, np.sin(phi), out=points[:, :, 1])
-    points[:, :, 2] = u[:, None]
-    return float(np.mean(f(points.reshape(-1, 3))))
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    rows = max(1, _QUAD_CHUNK_NODES // spec.n_phi)
+    values = np.empty(spec.n_theta * spec.n_phi)
+    for start in range(0, spec.n_theta, rows):
+        stop = min(start + rows, spec.n_theta)
+        points = np.empty((stop - start, spec.n_phi, 3))
+        np.multiply(r[start:stop], cos_phi, out=points[:, :, 0])
+        np.multiply(r[start:stop], sin_phi, out=points[:, :, 1])
+        points[:, :, 2] = u[start:stop, None]
+        values[start * spec.n_phi : stop * spec.n_phi] = f(points.reshape(-1, 3))
+        del points
+    return float(np.mean(values))
 
 
 def _sign_outcome_weight(outcome: float, sign: int, p_hi: float) -> float:

@@ -254,6 +254,28 @@ class TestChshAndSweep:
         assert captured.out == ""
         assert f"at most {MAX_BLOCK_SIZE}" in captured.err
 
+    @pytest.mark.parametrize("model", ["sign", "ensemble", "stochastic"])
+    @pytest.mark.parametrize("p_hi", ["nan", "0.4", "7"])
+    @pytest.mark.parametrize("command", [
+        ["correlate", "--theta-a", "0", "--theta-b", "1", "--trials", "100"],
+        ["chsh", "--angles", "0,pi/4,pi/2,3pi/4"],
+        ["sweep", "--step", "pi/4"],
+    ], ids=["correlate", "chsh", "sweep"])
+    def test_p_hi_outside_its_domain_is_usage_error(self, command, p_hi, model, capsys):
+        # rejected while parsing for every model, also those that ignore it
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--model", model, "--p-hi", p_hi])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p_hi must lie in [1/2, 1]" in captured.err
+
+    @pytest.mark.parametrize("p_hi", ["0.5", "1"])
+    def test_p_hi_domain_ends_are_accepted(self, p_hi, capsys):
+        argv = ["chsh", "--model", "stochastic", "--angles", "0,pi/4,pi/2,3pi/4"]
+        assert main([*argv, "--p-hi", p_hi]) == 0
+        assert capsys.readouterr().out.startswith("# generated_at=")
+
     def test_sweep_sign_boundary(self):
         result = run_cli("sweep", "--model", "sign", "--step", "pi/8", "--mode", "closed")
         assert result.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,21 @@ from bellsphere import (
     sequence_outcomes,
     sequence_tree_mean,
 )
+
+MAX_CHUNK_NODES = 65_536  # most nodes quad_expectation hands to f at once
+INTEGRANDS = (
+    lambda pts: pts[:, 2] ** 2,
+    lambda pts: np.maximum(project(pts, Axis(0.9)), 0.0),
+)  # the two sphere moments that verify checks
+
+
+def meshgrid_nodes(grid):
+    # every node computed at once on the full meshgrid, u-major
+    u = -1.0 + (np.arange(grid.n_theta) + 0.5) * (2.0 / grid.n_theta)
+    phi = (np.arange(grid.n_phi) + 0.5) * (2.0 * math.pi / grid.n_phi)
+    uu, pp = np.meshgrid(u, phi, indexing="ij")
+    rr = np.sqrt(np.maximum(1.0 - uu * uu, 0.0))
+    return np.stack([rr * np.cos(pp), rr * np.sin(pp), uu], axis=-1).reshape(-1, 3)
 
 
 class TestQuadExpectation:
@@ -44,26 +60,71 @@ class TestQuadExpectation:
         assert 3.0 <= errors[1] / errors[2] <= 5.0
 
     @pytest.mark.parametrize(
-        "spec", [None, QuadratureSpec(24, 40)], ids=["default", "24x40"]
+        "spec, rows",
+        [
+            (None, [64] * 16),
+            (QuadratureSpec(24, 40), [24]),
+            (QuadratureSpec(100, 5000), [13] * 7 + [9]),
+            (QuadratureSpec(8, 70_000), [1] * 8),
+        ],
+        ids=["default", "24x40", "100x5000", "8x70000"],
     )
-    def test_nodes_match_meshgrid_construction(self, spec):
-        # reference: every node computed on the full meshgrid, compared bit for bit
+    def test_nodes_match_meshgrid_construction(self, spec, rows):
+        # every chunk f receives, joined in order, is compared bit for bit with
+        # the nodes computed on the full meshgrid; a chunk is whole u-rows and
+        # at most 65,536 nodes, or one row when a row is longer
+        grid = spec or QuadratureSpec()
         seen = []
 
         def capture(pts):
-            seen.append(pts)
+            seen.append(pts.copy())
             return pts[:, 2]
 
         quad_expectation(capture, spec)
-        grid = spec or QuadratureSpec()
-        u = -1.0 + (np.arange(grid.n_theta) + 0.5) * (2.0 / grid.n_theta)
-        phi = (np.arange(grid.n_phi) + 0.5) * (2.0 * math.pi / grid.n_phi)
-        uu, pp = np.meshgrid(u, phi, indexing="ij")
-        rr = np.sqrt(np.maximum(1.0 - uu * uu, 0.0))
-        reference = np.stack([rr * np.cos(pp), rr * np.sin(pp), uu], axis=-1).reshape(-1, 3)
-        (nodes,) = seen
+        assert [len(chunk) for chunk in seen] == [k * grid.n_phi for k in rows]
+        for chunk in seen:
+            assert chunk.ndim == 2 and chunk.shape[1] == 3
+            assert len(chunk) % grid.n_phi == 0
+            assert len(chunk) <= max(MAX_CHUNK_NODES, grid.n_phi)
+        nodes = np.concatenate(seen)
+        reference = meshgrid_nodes(grid)
         assert nodes.shape == reference.shape
         assert nodes.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("integrand", INTEGRANDS, ids=["z_sq", "half_projection"])
+    @pytest.mark.parametrize(
+        "spec",
+        [None, QuadratureSpec(100, 5000), QuadratureSpec(8, 70_000)],
+        ids=["default", "100x5000", "8x70000"],
+    )
+    def test_chunked_mean_is_one_shot_mean(self, spec, integrand):
+        # f acts per node and the mean is one reduction over all values, so
+        # chunking changes no bit
+        one_shot = float(np.mean(integrand(meshgrid_nodes(spec or QuadratureSpec()))))
+        assert quad_expectation(integrand, spec) == one_shot
+
+    def test_verify_moments_are_pinned(self):
+        z_sq, half_projection = INTEGRANDS
+        assert quad_expectation(z_sq) == 0.33333301544189453
+        assert quad_expectation(half_projection) == 0.24999995338494274
+
+    def test_peak_memory_is_one_float_per_node_plus_a_chunk(self):
+        # the (n_theta * n_phi,) values array, one (65,536, 3) node chunk and a
+        # few (65,536,) temporaries of f; the one-shot grid needed 32-40 MiB
+        mib = 2**20
+        grid = QuadratureSpec()
+        values = grid.n_theta * grid.n_phi * 8
+        chunk = MAX_CHUNK_NODES * 3 * 8
+        temporary = MAX_CHUNK_NODES * 8
+        bound = values + chunk + 5 * temporary
+        assert bound == 12 * mib
+        tracemalloc.start()
+        try:
+            quad_expectation(INTEGRANDS[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values < peak <= bound
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
