@@ -14,7 +14,6 @@ from .geometry import (
     RngStream,
     angle_delta,
     project,
-    sample_hemisphere,
     sample_sphere,
 )
 from .distributions import (
@@ -36,7 +35,6 @@ from .detectors import (
     EnsembleDep,
     Sign,
     StochasticSign,
-    is_pointlike,
     measure_pair_batch,
     measure_pointlike,
     model_from_name,
@@ -61,7 +59,6 @@ from .analysis import (
     sweep_chsh,
 )
 from .oracles import (
-    QuadratureSpec,
     enumerate_ensemble_E,
     enumerate_pointlike_E,
     quad_expectation,
@@ -83,7 +80,6 @@ __all__ = [
     "Hemisphere",
     "JointTable",
     "PairSource",
-    "QuadratureSpec",
     "RngStream",
     "RotatingHemispheres",
     "Sign",
@@ -99,7 +95,6 @@ __all__ = [
     "enumerate_pointlike_E",
     "estimate_correlation",
     "fine_feasible",
-    "is_pointlike",
     "lune_probability",
     "measure_pair_batch",
     "measure_pointlike",
@@ -111,7 +106,6 @@ __all__ = [
     "quad_density_normalization",
     "quad_expectation",
     "quad_ring_mean_projection",
-    "sample_hemisphere",
     "sample_pair",
     "sample_sphere",
     "sequence_outcomes",

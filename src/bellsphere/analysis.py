@@ -373,15 +373,15 @@ def fine_feasible(
     return True, JointTable(x.reshape(2, 2, 2, 2))
 
 
-def chsh_inequalities_hold(correlations, v_max: float = 0.5, slack: float = 1e-9) -> bool:
-    """Direct check of the eight CHSH sign variants:
-    |+-E_ab +- E_ab' +- E_a'b +- E_a'b'| <= 2 v_max^2 for every odd number
-    of minus signs.  Independent of the least-squares route on purpose.
+def chsh_inequalities_hold(correlations) -> bool:
+    """Direct check of the eight CHSH sign variants on the +-1/2 outcome
+    scale: |+-E_ab +- E_ab' +- E_a'b +- E_a'b'| <= 2 (1/2)^2 + 1e-9 for
+    every odd number of minus signs.  Independent of the least-squares route
+    on purpose.
     """
     e = [float(x) for x in correlations]
-    bound = 2.0 * v_max**2
     for flip in range(4):
         signed = sum(-v if i == flip else v for i, v in enumerate(e))
-        if abs(signed) > bound + slack:
+        if abs(signed) > 0.5 + 1e-9:
             return False
     return True

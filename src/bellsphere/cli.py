@@ -35,6 +35,8 @@ SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
 # a Monte Carlo sweep block holds 32 float64 projections per pair at pi/16,
 # 16 MiB at this size
 MAX_BLOCK_SIZE = 65_536
+# the --source names
+_SOURCES = {"sphere": distributions.StaticSphere, "rotating": distributions.RotatingHemispheres}
 
 CORRELATION_COLUMNS = (
     "model",
@@ -115,19 +117,31 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _json_cell(value):
-    # RFC 8259 has no nan or infinity: non-finite floats are written as null
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _row_format(columns, fmt: str):
+    """How rows of ``columns`` are written in ``fmt``: the cell encoder, the
+    label before each cell, a row's opening and closing, the separator
+    between rows, and the opening and closing of the text.  JSON is what
+    ``json.dumps(rows as objects, indent=2)`` writes."""
+    if fmt == "json":
+        def cell(value):
+            # RFC 8259 has no nan or infinity: non-finite floats are written as null
+            if isinstance(value, float) and not math.isfinite(value):
+                value = None
+            return json.dumps(value, allow_nan=False)
+
+        labels = [f'\n    "{column}": ' for column in columns]
+        return cell, labels, "  {", "\n  }", ",\n", "[\n", "\n]\n"
+    return _format_cell, [""] * len(columns), "", "", "\n", _csv_head(columns), "\n"
 
 
 def _render(columns, rows, fmt: str) -> str:
     """Rows are sequences of cells in column order."""
-    if fmt == "json":
-        objects = [dict(zip(columns, map(_json_cell, row))) for row in rows]
-        return json.dumps(objects, indent=2, allow_nan=False) + "\n"
-    return _csv_head(columns) + "".join(",".join(map(_format_cell, row)) + "\n" for row in rows)
+    cell, labels, row_open, row_close, separator, opening, closing = _row_format(columns, fmt)
+    lines = (
+        row_open + ",".join(label + cell(value) for label, value in zip(labels, row)) + row_close
+        for row in rows
+    )
+    return opening + separator.join(lines) + closing
 
 
 def _csv_head(columns) -> str:
@@ -149,18 +163,10 @@ def _summary(line: str, output_path: Path | None) -> None:
     print(line, file=sys.stdout if output_path is not None else sys.stderr)
 
 
-def _source_from_name(name: str) -> distributions.PairSource:
-    if name == "sphere":
-        return distributions.StaticSphere()
-    if name == "rotating":
-        return distributions.RotatingHemispheres()
-    raise ValueError(f"unknown pair source {name!r}")
-
-
 def cmd_correlate(args) -> int:
     record = analysis.estimate_correlation(
         detectors.model_from_name(args.model, args.p_hi),
-        _source_from_name(args.source),
+        _SOURCES[args.source](),
         args.theta_a,
         args.theta_b,
         args.trials,
@@ -182,7 +188,7 @@ def cmd_chsh(args) -> int:
         mode=args.mode,
         n=args.trials,
         rng=RngStream(_resolve_seed(args.seed)),
-        source=_source_from_name(args.source),
+        source=_SOURCES[args.source](),
         block_size=args.block_size,
     )
     row = [getattr(result, c) for c in CHSH_COLUMNS]
@@ -208,18 +214,9 @@ def _sweep_chunks(model: str, table: analysis.SweepTable, fmt: str):
     tails gathered by key, joined once; the first row of the first chunk
     has no separator.
     """
-    if fmt == "json":
-        def cell(value):
-            return json.dumps(_json_cell(value), allow_nan=False)
-
-        labels = [f'\n    "{column}": ' for column in CHSH_COLUMNS]
-        row_open, row_close, separator = "  {", "\n  }", ",\n"
-        opening, closing = "[\n", "\n]\n"
-    else:
-        cell = _format_cell
-        labels = [""] * len(CHSH_COLUMNS)
-        row_open, row_close, separator = "", "", "\n"
-        opening, closing = _csv_head(CHSH_COLUMNS), "\n"
+    cell, labels, row_open, row_close, separator, opening, closing = _row_format(
+        CHSH_COLUMNS, fmt
+    )
     m = len(table.grid)
     c_bits = np.ascontiguousarray(table.c_values, dtype=np.float64).view(np.uint64)
     bits, inverse = np.unique(c_bits, return_inverse=True)
@@ -253,7 +250,7 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         n=args.trials,
         rng=RngStream(_resolve_seed(args.seed)),
-        source=_source_from_name(args.source),
+        source=_SOURCES[args.source](),
         block_size=args.block_size,
     )
     _emit(_sweep_chunks(best.model, table, args.fmt), args.out)
@@ -585,9 +582,7 @@ def _add_run_options(parser, trials_default: int):
 
 
 def _add_model_options(parser):
-    parser.add_argument(
-        "--model", required=True, choices=("direct", "sign", "stochastic", "ensemble")
-    )
+    parser.add_argument("--model", required=True, choices=detectors.MODELS)
     parser.add_argument(
         "--p-hi",
         type=_p_hi,
@@ -596,14 +591,17 @@ def _add_model_options(parser):
     )
     parser.add_argument(
         "--source",
-        choices=("sphere", "rotating"),
+        choices=_SOURCES,
         default="sphere",
         help="pair source: static sphere or per-pair rotating hemispheres",
     )
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
@@ -619,7 +617,10 @@ def _block_size(text: str) -> int:
 
 
 def _p_hi(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.5 <= value <= 1.0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"p_hi must lie in [1/2, 1], got {text!r}")
     return value

@@ -63,18 +63,12 @@ class EnsembleDep:
 
 DetectorModel = Direct | Sign | StochasticSign | EnsembleDep
 
-_POINTLIKE = (Direct, Sign, StochasticSign)
-
-_NAMES = {
-    Direct: "direct",
-    Sign: "sign",
-    StochasticSign: "stochastic",
-    EnsembleDep: "ensemble",
-}
-
-
-def is_pointlike(model: DetectorModel) -> bool:
-    return isinstance(model, _POINTLIKE)
+MODELS = {
+    "direct": Direct,
+    "sign": Sign,
+    "stochastic": StochasticSign,
+    "ensemble": EnsembleDep,
+}  # the CLI's --model names
 
 
 def v_max(model: DetectorModel) -> float:
@@ -83,19 +77,14 @@ def v_max(model: DetectorModel) -> float:
 
 
 def model_name(model: DetectorModel) -> str:
-    return _NAMES[type(model)]
+    return {cls: name for name, cls in MODELS.items()}[type(model)]
 
 
 def model_from_name(name: str, p_hi: float = 0.75) -> DetectorModel:
-    if name == "direct":
-        return Direct()
-    if name == "sign":
-        return Sign()
-    if name == "stochastic":
-        return StochasticSign(p_hi)
-    if name == "ensemble":
-        return EnsembleDep()
-    raise ValueError(f"unknown detector model {name!r}")
+    if name not in MODELS:
+        raise ValueError(f"unknown detector model {name!r}")
+    cls = MODELS[name]
+    return cls(p_hi) if cls is StochasticSign else cls()
 
 
 def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
@@ -104,7 +93,7 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
 
     ``rng`` is only consumed by StochasticSign, one flip draw per projection.
     """
-    if not is_pointlike(model):
+    if isinstance(model, EnsembleDep):
         raise TypeError(
             "measure_pointlike needs a point-like model; the ensemble "
             "detector is driven through sequence_outcomes/measure_pair_batch"

@@ -23,11 +23,13 @@ from .geometry import (
     Axis,
     RngStream,
     _radius,
-    _turn_frame,
     angle_delta,
     project,
     sample_sphere_yz,
 )
+
+_DENSITY_NODES = 2048  # midpoint nodes of quad_density_normalization
+_RING_NODES = 4096  # midpoint nodes of quad_ring_mean_projection
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class ConfigDensity:
         return np.where(on_support, np.where(boundary, np.inf, inner), 0.0)
 
 
-def quad_density_normalization(density: ConfigDensity, n_nodes: int = 2048) -> float:
+def quad_density_normalization(density: ConfigDensity) -> float:
     """Integral of the density against sin(theta) dtheta dphi, by midpoint rule.
 
     Substituting u = cos(theta) and then u = u0 sin(t) (u0 the half-width of
@@ -119,14 +121,12 @@ def quad_density_normalization(density: ConfigDensity, n_nodes: int = 2048) -> f
     the transformed integrand is bounded and the rule converges cleanly.
     A naive rule in theta would straddle the singularity.
     """
-    if n_nodes < 8:
-        raise ValueError("n_nodes must be at least 8")
     u0sq = 1.0 - (density.jz0 / density.j0) ** 2
     if u0sq <= 0.0:
         raise ValueError("degenerate ring (|jz0| = j0) has no areal density")
     u0 = math.sqrt(u0sq)
-    dt = math.pi / n_nodes
-    t = -0.5 * math.pi + (np.arange(n_nodes) + 0.5) * dt
+    dt = math.pi / _DENSITY_NODES
+    t = -0.5 * math.pi + (np.arange(_DENSITY_NODES) + 0.5) * dt
     u = u0 * np.sin(t)
     theta = np.arccos(u)
     values = density.at(theta)
@@ -134,19 +134,15 @@ def quad_density_normalization(density: ConfigDensity, n_nodes: int = 2048) -> f
     return float(TWO_PI * dt * np.sum(values * u0 * np.cos(t)))
 
 
-def quad_ring_mean_projection(
-    j0: float, jz0: float, axis: Axis, n_nodes: int = 4096
-) -> float:
+def quad_ring_mean_projection(j0: float, jz0: float, axis: Axis) -> float:
     """Mean projection of the ring's angular momentum onto ``axis``.
 
     Direct azimuthal quadrature over the ring (physical magnitude ``j0``),
     an independent check of the jz0 cos(theta) closed form.
     """
-    if n_nodes < 8:
-        raise ValueError("n_nodes must be at least 8")
     if j0 <= 0.0 or abs(jz0) > j0:
         raise ValueError("need j0 > 0 and |jz0| <= j0")
-    phi = (np.arange(n_nodes) + 0.5) * (TWO_PI / n_nodes)
+    phi = (np.arange(_RING_NODES) + 0.5) * (TWO_PI / _RING_NODES)
     r = math.sqrt(max(j0**2 - jz0**2, 0.0))
     vectors = np.stack(
         [r * np.cos(phi), r * np.sin(phi), np.full_like(phi, jz0)], axis=-1
@@ -194,5 +190,11 @@ def sample_pair(source: PairSource, rng: RngStream, n: int):
         np.sin(yf, out=yf)
         yf *= _radius(zf)
         sin_beta = np.sin(beta)
-        return _turn_frame(yf, zf, sin_beta, np.cos(beta, out=beta))
+        cos_beta = np.cos(beta, out=beta)
+        # the frame's z axis turned onto the plane axis (0, sin beta, cos beta)
+        y = zf * sin_beta
+        y += yf * cos_beta
+        z = zf * cos_beta
+        z -= yf * sin_beta
+        return y, z
     raise TypeError(f"not a pair source: {source!r}")

@@ -150,33 +150,3 @@ def sample_sphere_yz(rng: RngStream, n: int):
     r *= np.sin(az, out=az)
     return r, z
 
-
-def _turn_frame(yf, zf, sin_t, cos_t):
-    """y and z of vectors with frame components (yf, zf) once the frame's z
-    axis is turned onto the plane axis (0, sin t, cos t); x is unchanged.
-
-    ``sin_t`` and ``cos_t`` are one axis (scalars) or one axis per vector
-    (arrays broadcasting against ``zf``).
-    """
-    y = zf * sin_t
-    y += yf * cos_t
-    z = zf * cos_t
-    z -= yf * sin_t
-    return y, z
-
-
-def sample_hemisphere(axis: Axis, sign: int, rng: RngStream, n: int) -> np.ndarray:
-    """``n`` vectors uniform on the hemisphere where sign * project(j, axis) > 0.
-
-    Sampled in the hemisphere's own frame and rotated into place; the frame
-    z-coordinate is drawn in (0, 1], so the support constraint holds
-    strictly for every draw (no rejection step).
-    """
-    if sign not in (-1, 1):
-        raise ValueError(f"hemisphere sign must be -1 or +1, got {sign!r}")
-    draws = rng.uniform((n, 2))
-    zf = sign * (1.0 - draws[:, 0])
-    az = TWO_PI * draws[:, 1]
-    rf = _radius(zf)
-    y, z = _turn_frame(rf * np.sin(az), zf, math.sin(axis.theta), math.cos(axis.theta))
-    return np.stack([rf * np.cos(az), y, z], axis=-1)

@@ -10,7 +10,6 @@ errors in the expectation formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,9 @@ from .distributions import Ensemble, FullSphere, Hemisphere
 from .detectors import DetectorModel, Sign, StochasticSign
 
 _TWO_PI = 2.0 * math.pi
-_QUAD_CHUNK_NODES = 65_536  # most quadrature nodes handed to f at once
+_QUAD_NODES = 1024  # midpoint nodes per axis of the sphere quadrature grid
+_QUAD_ROWS = 64  # u-rows per chunk: 16 chunks of 65,536 nodes
+_TREE_MAX_DEPTH = 20
 
 
 def _reduced(delta: float) -> float:
@@ -26,46 +27,30 @@ def _reduced(delta: float) -> float:
     return abs(math.remainder(delta, _TWO_PI))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Midpoint-rule grid on (cos theta, phi).
-
-    The default resolves smooth moments to a few 1e-7: the midpoint error
-    for f = z^2 is exactly 1/(3 n_theta^2).
-    """
-
-    n_theta: int = 1024
-    n_phi: int = 1024
-
-    def __post_init__(self):
-        if self.n_theta < 8 or self.n_phi < 8:
-            raise ValueError("quadrature grids need at least 8 nodes per axis")
-
-
-def quad_expectation(f, spec: QuadratureSpec | None = None) -> float:
+def quad_expectation(f) -> float:
     """Sphere average (1/4pi) integral of f dOmega by the midpoint rule.
 
     ``f`` maps an (m, 3) array of unit vectors to (m,) values, node by node.
-    Midpoint on (cos theta, phi) makes all node weights equal, so the average
-    is the mean of f over the grid; error falls off as the square of the grid
-    spacing for smooth integrands.  The nodes (r = sqrt(1 - u^2) per u, cos phi
-    and sin phi per phi) reach f u-major, in chunks of whole u-rows of at most
-    65,536 nodes (one row if n_phi is larger), each freed before the next.
+    The grid is 1024 x 1024 on (cos theta, phi); midpoint on those makes all
+    node weights equal, so the average is the mean of f over the grid.  The
+    error falls off as the square of the grid spacing for smooth integrands:
+    for f = z^2 it is exactly 1/(3 * 1024^2).  The nodes (r = sqrt(1 - u^2)
+    per u, cos phi and sin phi per phi) reach f u-major, in 16 chunks of 64
+    whole u-rows, each freed before the next.
     """
-    spec = spec or QuadratureSpec()
-    u = -1.0 + (np.arange(spec.n_theta) + 0.5) * (2.0 / spec.n_theta)
-    phi = (np.arange(spec.n_phi) + 0.5) * (_TWO_PI / spec.n_phi)
+    n = _QUAD_NODES
+    u = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+    phi = (np.arange(n) + 0.5) * (_TWO_PI / n)
     r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    rows = max(1, _QUAD_CHUNK_NODES // spec.n_phi)
-    values = np.empty(spec.n_theta * spec.n_phi)
-    for start in range(0, spec.n_theta, rows):
-        stop = min(start + rows, spec.n_theta)
-        points = np.empty((stop - start, spec.n_phi, 3))
-        np.multiply(r[start:stop], cos_phi, out=points[:, :, 0])
-        np.multiply(r[start:stop], sin_phi, out=points[:, :, 1])
-        points[:, :, 2] = u[start:stop, None]
-        values[start * spec.n_phi : stop * spec.n_phi] = f(points.reshape(-1, 3))
+    values = np.empty(n * n)
+    for start in range(0, n, _QUAD_ROWS):
+        rows = slice(start, start + _QUAD_ROWS)
+        points = np.empty((_QUAD_ROWS, n, 3))
+        np.multiply(r[rows], cos_phi, out=points[:, :, 0])
+        np.multiply(r[rows], sin_phi, out=points[:, :, 1])
+        points[:, :, 2] = u[rows, None]
+        values[start * n : (start + _QUAD_ROWS) * n] = f(points.reshape(-1, 3))
         del points
     return float(np.mean(values))
 
@@ -123,9 +108,9 @@ def enumerate_ensemble_E(delta: float) -> float:
     return expectation
 
 
-def sequence_tree_mean(e0: Ensemble, axes, max_depth: int = 20) -> float:
+def sequence_tree_mean(e0: Ensemble, axes) -> float:
     """Exact expected final outcome of an ensemble-measurement sequence,
-    by full enumeration of the 2^n outcome branches.
+    by full enumeration of the 2^n outcome branches, for n of 1 to 20 axes.
 
     The branch probabilities restate the measurement law locally: from a
     hemisphere of sign s about theta0, measuring theta gives +1/2 with
@@ -135,8 +120,8 @@ def sequence_tree_mean(e0: Ensemble, axes, max_depth: int = 20) -> float:
     axes = list(axes)
     if not axes:
         raise ValueError("need at least one axis")
-    if len(axes) > max_depth:
-        raise ValueError(f"sequence depth {len(axes)} exceeds cap {max_depth}")
+    if len(axes) > _TREE_MAX_DEPTH:
+        raise ValueError(f"sequence depth {len(axes)} exceeds cap {_TREE_MAX_DEPTH}")
     if isinstance(e0, Hemisphere):
         state = (e0.axis.theta, float(e0.sign))
     elif isinstance(e0, FullSphere):

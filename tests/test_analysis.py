@@ -436,7 +436,7 @@ class TestFineFeasible:
             for scale in (1 - 1e-7, 1 - 1e-8, 1 + 1e-8, 1 + 1e-7):
                 pushed = [scale * e for e in es]
                 feasible, table = fine_feasible(pushed, HALF_MARGINALS)
-                assert feasible == chsh_inequalities_hold(pushed, slack=0.0), pushed
+                assert feasible == chsh_inequalities_hold(pushed), pushed
                 if feasible:
                     assert table.probs.min() >= 0.0
                     assert table_correlations(table) == pytest.approx(tuple(pushed), abs=1e-9)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -17,9 +18,12 @@ from bellsphere import (
     sweep_chsh,
 )
 from bellsphere.cli import (
+    CHSH_COLUMNS,
+    CORRELATION_COLUMNS,
     MAX_BLOCK_SIZE,
     _check_mean_preservation,
     _format_cell,
+    _render,
     _sweep_chunks,
     main,
     parse_angle,
@@ -50,6 +54,30 @@ def strict_json(text):
 
 def data_rows(csv_text):
     return [line for line in csv_text.splitlines() if line and not line.startswith("#")]
+
+
+def reference_text(columns, rows, fmt):
+    # the row formats restated: one ``_format_cell`` join per CSV row under
+    # the header, and ``json.dumps`` of one object per row with non-finite
+    # floats written as null
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(map(_format_cell, row)) for row in rows]
+        return "\n".join(lines) + "\n"
+    objects = [
+        {
+            column: None if isinstance(v, float) and not math.isfinite(v) else v
+            for column, v in zip(columns, row)
+        }
+        for row in rows
+    ]
+    return json.dumps(objects, indent=2, allow_nan=False) + "\n"
+
+
+def without_stamp(text, fmt):
+    if fmt == "csv":
+        stamp, text = text.split("\n", 1)
+        assert stamp.startswith("# generated_at=")
+    return text
 
 
 class TestParseAngle:
@@ -276,6 +304,24 @@ class TestChshAndSweep:
         assert main([*argv, "--p-hi", p_hi]) == 0
         assert capsys.readouterr().out.startswith("# generated_at=")
 
+    CORRELATE = ["correlate", "--model", "sign", "--theta-a", "0", "--theta-b", "1"]
+
+    @pytest.mark.parametrize("argv, option", [
+        ([*CORRELATE, "--p-hi", "foo"], "--p-hi"),
+        ([*CORRELATE, "--block-size", "foo"], "--block-size"),
+        ([*CORRELATE, "--trials", "foo"], "--trials"),
+        (["verify", "--feasibility-samples", "x"], "--feasibility-samples"),
+        (["sequential", "--axes", "0", "--trials", "1.5"], "--trials"),
+    ], ids=["p_hi", "block_size", "trials", "feasibility_samples", "sequential_trials"])
+    def test_non_number_names_the_option_not_the_parser(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}:" in captured.err
+        assert re.findall(r"(?<!\w)_\w+", captured.err) == []
+
     def test_sweep_sign_boundary(self):
         result = run_cli("sweep", "--model", "sign", "--step", "pi/8", "--mode", "closed")
         assert result.returncode == 0
@@ -304,10 +350,33 @@ class TestChshAndSweep:
         assert "n >= 2" in captured.err
 
 
+class TestRowRendering:
+    """``_render``, which writes the one-row outputs of correlate and chsh,
+    against the restated reference."""
+
+    ROWS = {
+        "correlate": (CORRELATION_COLUMNS, [
+            ("sign", 0.0, 0.7853981633974483, 1, -0.25, 0.0, -0.125, math.inf),
+            ("direct", -0.0, 3.0, 100_000, math.nan, -math.inf, 1 / 3, -0.0),
+        ]),
+        "chsh": (CHSH_COLUMNS, [
+            ("ensemble", 0.0, 0.785398, 1.5707963267948966, 2.356, 2.8284271247461903, 0.5, True),
+            ("stochastic", -0.0, 1, 2, 3, math.nan, 0.5, False),
+            ("direct", 0.0, 0.0, 0.0, 0.0, math.inf, 1.0, True),
+        ]),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["correlate", "chsh"])
+    def test_rows_match_reference(self, command, fmt):
+        columns, rows = self.ROWS[command]
+        for count in (1, len(rows)):
+            text = without_stamp(_render(columns, rows[:count], fmt), fmt)
+            assert text == reference_text(columns, rows[:count], fmt)
+
+
 class TestSweepRendering:
-    """The sweep renderer against a reference restated here: one
-    ``_format_cell`` join per CSV row, and ``json.dumps`` of one object per
-    row with non-finite floats written as null."""
+    """The sweep renderer against the restated reference."""
 
     COLUMNS = ("model", "a", "b", "a_prime", "b_prime", "c_value", "v_max", "violated")
 
@@ -320,17 +389,7 @@ class TestSweepRendering:
                 table.violated.ravel().tolist(),
             )
         ]
-        if fmt == "csv":
-            lines = [",".join(self.COLUMNS)] + [",".join(map(_format_cell, row)) for row in rows]
-            return "\n".join(lines) + "\n"
-        objects = [
-            {
-                column: None if isinstance(v, float) and not math.isfinite(v) else v
-                for column, v in zip(self.COLUMNS, row)
-            }
-            for row in rows
-        ]
-        return json.dumps(objects, indent=2, allow_nan=False) + "\n"
+        return reference_text(self.COLUMNS, rows, fmt)
 
     def assert_same_text(self, got, want):
         # the first differing line, not a diff of megabytes of text
@@ -340,11 +399,7 @@ class TestSweepRendering:
             pytest.fail(f"line {line}: {g!r} != {w!r}")
 
     def rendered(self, model, table, fmt):
-        text = "".join(_sweep_chunks(model, table, fmt))
-        if fmt == "csv":
-            stamp, text = text.split("\n", 1)
-            assert stamp.startswith("# generated_at=")
-        return text
+        return without_stamp("".join(_sweep_chunks(model, table, fmt)), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])

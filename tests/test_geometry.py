@@ -10,7 +10,6 @@ from bellsphere import (
     angle_delta,
     project,
     quad_expectation,
-    sample_hemisphere,
     sample_sphere,
 )
 
@@ -130,26 +129,3 @@ class TestSampleSphere:
             p_hat = float(np.mean(project(j, Axis(theta)) > 0))
             assert abs(p_hat - 0.5) <= 5.0 * math.sqrt(0.25 / len(j))
 
-
-class TestSampleHemisphere:
-    def test_support_is_strict(self):
-        a = Axis(0.8)
-        for sign in (-1, 1):
-            j = sample_hemisphere(a, sign, RngStream(6), 200_000)
-            assert bool(np.all(sign * project(j, a) > 0))
-            assert is_unit(j)
-
-    def test_mean_projection_on_own_axis(self):
-        a = Axis(1.1)
-        j = sample_hemisphere(a, 1, RngStream(7), 400_000)
-        assert sigma_bound(project(j, a), 0.5) <= 5.0
-
-    def test_mean_projection_on_rotated_axis(self):
-        a = Axis(0.2)
-        b = Axis(0.2 + math.pi / 3)
-        j = sample_hemisphere(a, 1, RngStream(8), 400_000)
-        assert sigma_bound(project(j, b), 0.25) <= 5.0  # cos(pi/3)/2
-
-    def test_invalid_sign_rejected(self):
-        with pytest.raises(ValueError):
-            sample_hemisphere(Axis(0.0), 0, RngStream(1), 1)

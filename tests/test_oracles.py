@@ -9,7 +9,6 @@ from bellsphere import (
     Direct,
     FullSphere,
     Hemisphere,
-    QuadratureSpec,
     RngStream,
     Sign,
     StochasticSign,
@@ -21,17 +20,18 @@ from bellsphere import (
     sequence_tree_mean,
 )
 
-MAX_CHUNK_NODES = 65_536  # most nodes quad_expectation hands to f at once
+N = 1024  # quad_expectation's nodes per axis
+CHUNK_NODES = 65_536  # nodes quad_expectation hands to f at once
 INTEGRANDS = (
     lambda pts: pts[:, 2] ** 2,
     lambda pts: np.maximum(project(pts, Axis(0.9)), 0.0),
 )  # the two sphere moments that verify checks
 
 
-def meshgrid_nodes(grid):
+def meshgrid_nodes():
     # every node computed at once on the full meshgrid, u-major
-    u = -1.0 + (np.arange(grid.n_theta) + 0.5) * (2.0 / grid.n_theta)
-    phi = (np.arange(grid.n_phi) + 0.5) * (2.0 * math.pi / grid.n_phi)
+    u = -1.0 + (np.arange(N) + 0.5) * (2.0 / N)
+    phi = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
     uu, pp = np.meshgrid(u, phi, indexing="ij")
     rr = np.sqrt(np.maximum(1.0 - uu * uu, 0.0))
     return np.stack([rr * np.cos(pp), rr * np.sin(pp), uu], axis=-1).reshape(-1, 3)
@@ -51,57 +51,31 @@ class TestQuadExpectation:
         value = quad_expectation(lambda pts: np.maximum(project(pts, axis), 0.0))
         assert value == pytest.approx(0.25, abs=1e-6)
 
-    def test_second_order_convergence(self):
-        errors = []
-        for n in (256, 512, 1024):
-            spec = QuadratureSpec(n_theta=n, n_phi=64)
-            errors.append(abs(quad_expectation(lambda p: p[:, 2] ** 2, spec) - 1 / 3))
-        assert 3.0 <= errors[0] / errors[1] <= 5.0
-        assert 3.0 <= errors[1] / errors[2] <= 5.0
+    def test_second_moment_error_is_the_midpoint_term(self):
+        # the midpoint rule's error for z^2 on N rows of u is exactly
+        # 1/(3 N^2), here to within a few ulp of the mean 1/3
+        error = 1.0 / 3.0 - quad_expectation(lambda p: p[:, 2] ** 2)
+        assert abs(error - 1.0 / (3.0 * N**2)) <= 4 * math.ulp(1.0 / 3.0)
 
-    @pytest.mark.parametrize(
-        "spec, rows",
-        [
-            (None, [64] * 16),
-            (QuadratureSpec(24, 40), [24]),
-            (QuadratureSpec(100, 5000), [13] * 7 + [9]),
-            (QuadratureSpec(8, 70_000), [1] * 8),
-        ],
-        ids=["default", "24x40", "100x5000", "8x70000"],
-    )
-    def test_nodes_match_meshgrid_construction(self, spec, rows):
+    def test_nodes_match_meshgrid_construction(self):
         # every chunk f receives, joined in order, is compared bit for bit with
-        # the nodes computed on the full meshgrid; a chunk is whole u-rows and
-        # at most 65,536 nodes, or one row when a row is longer
-        grid = spec or QuadratureSpec()
+        # the nodes computed on the full meshgrid: 16 chunks of 64 whole u-rows
         seen = []
 
         def capture(pts):
             seen.append(pts.copy())
             return pts[:, 2]
 
-        quad_expectation(capture, spec)
-        assert [len(chunk) for chunk in seen] == [k * grid.n_phi for k in rows]
-        for chunk in seen:
-            assert chunk.ndim == 2 and chunk.shape[1] == 3
-            assert len(chunk) % grid.n_phi == 0
-            assert len(chunk) <= max(MAX_CHUNK_NODES, grid.n_phi)
+        quad_expectation(capture)
+        assert [chunk.shape for chunk in seen] == [(CHUNK_NODES, 3)] * 16
         nodes = np.concatenate(seen)
-        reference = meshgrid_nodes(grid)
-        assert nodes.shape == reference.shape
-        assert nodes.tobytes() == reference.tobytes()
+        assert nodes.tobytes() == meshgrid_nodes().tobytes()
 
     @pytest.mark.parametrize("integrand", INTEGRANDS, ids=["z_sq", "half_projection"])
-    @pytest.mark.parametrize(
-        "spec",
-        [None, QuadratureSpec(100, 5000), QuadratureSpec(8, 70_000)],
-        ids=["default", "100x5000", "8x70000"],
-    )
-    def test_chunked_mean_is_one_shot_mean(self, spec, integrand):
+    def test_chunked_mean_is_one_shot_mean(self, integrand):
         # f acts per node and the mean is one reduction over all values, so
         # chunking changes no bit
-        one_shot = float(np.mean(integrand(meshgrid_nodes(spec or QuadratureSpec()))))
-        assert quad_expectation(integrand, spec) == one_shot
+        assert quad_expectation(integrand) == float(np.mean(integrand(meshgrid_nodes())))
 
     def test_verify_moments_are_pinned(self):
         z_sq, half_projection = INTEGRANDS
@@ -112,10 +86,9 @@ class TestQuadExpectation:
         # the (n_theta * n_phi,) values array, one (65,536, 3) node chunk and a
         # few (65,536,) temporaries of f; the one-shot grid needed 32-40 MiB
         mib = 2**20
-        grid = QuadratureSpec()
-        values = grid.n_theta * grid.n_phi * 8
-        chunk = MAX_CHUNK_NODES * 3 * 8
-        temporary = MAX_CHUNK_NODES * 8
+        values = N * N * 8
+        chunk = CHUNK_NODES * 3 * 8
+        temporary = CHUNK_NODES * 8
         bound = values + chunk + 5 * temporary
         assert bound == 12 * mib
         tracemalloc.start()
@@ -125,10 +98,6 @@ class TestQuadExpectation:
         finally:
             tracemalloc.stop()
         assert values < peak <= bound
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_theta=4)
 
 
 class TestEnumeratePointlike:
