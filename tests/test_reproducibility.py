@@ -1,8 +1,9 @@
-"""Byte-level reproducibility of the Monte Carlo kernel.
+"""Byte-level reproducibility of the Monte Carlo kernel and of ``verify``.
 
-Two guards.  A golden digest pins the data rows of a fixed set of CLI runs,
+Three guards.  A golden digest pins the data rows of a fixed set of CLI runs,
 so any change to a drawn bit, an outcome or a block sum shows up as a new
-SHA-256.  A reference kernel, restated here as the package first wrote it
+SHA-256.  A second digest pins ``verify``'s whole report at four seeds.  A
+reference kernel, restated here as the package first wrote it
 (``np.where`` outcomes, float product sums and a fresh ``rng.split(i)`` per
 block), pins ``measure_pair_batch`` and the role tables bit for bit.
 """
@@ -77,6 +78,28 @@ def test_golden_data_rows(capsys):
                 ).encode()
             )
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# the verify runs whose report is pinned: the CLI's default seed, two others
+# and one with the noisy-sign grid
+VERIFY_RUNS = (
+    ["verify", "--seed", "0"],
+    ["verify", "--seed", "5"],
+    ["verify", "--seed", "202"],
+    ["verify", "--seed", "7", "--report-discrepancies"],
+)
+
+# SHA-256 over every verify run's argv and its whole stdout
+VERIFY_DIGEST = "fe381db830fcae55eba3d7c893b2598ba743ee5f0416f68d35686dd9d509dc5f"
+
+
+def test_golden_verify_report(capsys):
+    digest = hashlib.sha256()
+    for argv in VERIFY_RUNS:
+        assert main(argv) == 0
+        digest.update(" ".join(argv).encode() + b"\n")
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
 
 
 # -- the reference kernel ------------------------------------------------------
