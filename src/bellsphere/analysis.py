@@ -368,7 +368,9 @@ def fine_feasible(
 
     b_eq = np.array([1.0, *correlations, *marginals])
     x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
-    if float(np.max(np.abs(_FEASIBILITY_MATRIX @ x - b_eq))) > 1e-9:
+    residual = _FEASIBILITY_MATRIX @ x
+    residual -= b_eq
+    if float(np.abs(residual, out=residual).max()) > 1e-9:
         return False, None
     return True, JointTable(x.reshape(2, 2, 2, 2))
 
@@ -379,9 +381,14 @@ def chsh_inequalities_hold(correlations) -> bool:
     every odd number of minus signs.  Independent of the least-squares route
     on purpose.
     """
-    e = [float(x) for x in correlations]
-    for flip in range(4):
-        signed = sum(-v if i == flip else v for i, v in enumerate(e))
+    e_ab, e_abp, e_apb, e_apbp = (float(x) for x in correlations)
+    # each sum left to right, as the sum of a list of the four signed terms
+    for signed in (
+        -e_ab + e_abp + e_apb + e_apbp,
+        e_ab - e_abp + e_apb + e_apbp,
+        e_ab + e_abp - e_apb + e_apbp,
+        e_ab + e_abp + e_apb - e_apbp,
+    ):
         if abs(signed) > 0.5 + 1e-9:
             return False
     return True

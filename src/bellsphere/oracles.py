@@ -36,23 +36,31 @@ def quad_expectation(f) -> float:
     error falls off as the square of the grid spacing for smooth integrands:
     for f = z^2 it is exactly 1/(3 * 1024^2).  The nodes (r = sqrt(1 - u^2)
     per u, cos phi and sin phi per phi) reach f u-major, in 16 chunks of 64
-    whole u-rows, each freed before the next.
+    whole u-rows, one chunk held at a time.
+
+    Each chunk's values are summed on their own; the 16 sums are then added
+    in pairs, pairs of pairs and so on.  NumPy sums 2^20 contiguous values
+    pairwise, halving down to 65,536-value blocks, so this is its tree and
+    the result is ``np.mean`` of all the values bit for bit.
     """
     n = _QUAD_NODES
     u = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     phi = (np.arange(n) + 0.5) * (_TWO_PI / n)
     r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    values = np.empty(n * n)
+    points = np.empty((_QUAD_ROWS, n, 3))
+    values = np.empty(_QUAD_ROWS * n)
+    sums = []
     for start in range(0, n, _QUAD_ROWS):
         rows = slice(start, start + _QUAD_ROWS)
-        points = np.empty((_QUAD_ROWS, n, 3))
         np.multiply(r[rows], cos_phi, out=points[:, :, 0])
         np.multiply(r[rows], sin_phi, out=points[:, :, 1])
         points[:, :, 2] = u[rows, None]
-        values[start * n : (start + _QUAD_ROWS) * n] = f(points.reshape(-1, 3))
-        del points
-    return float(np.mean(values))
+        values[:] = f(points.reshape(-1, 3))
+        sums.append(np.add.reduce(values))
+    while len(sums) > 1:  # 16 chunk sums: four rounds of pairs
+        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
+    return float(sums[0] / (n * n))
 
 
 def _sign_outcome_weight(outcome: float, sign: int, p_hi: float) -> float:

@@ -26,6 +26,14 @@ INTEGRANDS = (
     lambda pts: pts[:, 2] ** 2,
     lambda pts: np.maximum(project(pts, Axis(0.9)), 0.0),
 )  # the two sphere moments that verify checks
+# node-by-node values that swing in sign and size from one node to the next,
+# so sums taken in another order (the chunk sums left to right, an exact
+# sum) round differently for some of them
+ROUGH_INTEGRANDS = (
+    lambda pts: np.sin(1e6 * pts[:, 0] + 1e5 * pts[:, 1]),
+    lambda pts: np.exp(8.0 * pts[:, 2]) * np.cos(3e4 * pts[:, 0]),
+    lambda pts: 1e3 * np.sin(1e6 * pts[:, 0]) + pts[:, 2],
+)
 
 
 def meshgrid_nodes():
@@ -71,10 +79,14 @@ class TestQuadExpectation:
         nodes = np.concatenate(seen)
         assert nodes.tobytes() == meshgrid_nodes().tobytes()
 
-    @pytest.mark.parametrize("integrand", INTEGRANDS, ids=["z_sq", "half_projection"])
+    @pytest.mark.parametrize(
+        "integrand",
+        INTEGRANDS + ROUGH_INTEGRANDS,
+        ids=["z_sq", "half_projection", "rough_sin", "rough_exp", "rough_mixed"],
+    )
     def test_chunked_mean_is_one_shot_mean(self, integrand):
-        # f acts per node and the mean is one reduction over all values, so
-        # chunking changes no bit
+        # f acts per node, and the 16 chunk sums are added in the pairwise
+        # tree np.mean builds over all 2^20 values, so chunking changes no bit
         assert quad_expectation(integrand) == float(np.mean(integrand(meshgrid_nodes())))
 
     def test_verify_moments_are_pinned(self):
@@ -82,22 +94,21 @@ class TestQuadExpectation:
         assert quad_expectation(z_sq) == 0.33333301544189453
         assert quad_expectation(half_projection) == 0.24999995338494274
 
-    def test_peak_memory_is_one_float_per_node_plus_a_chunk(self):
-        # the (n_theta * n_phi,) values array, one (65,536, 3) node chunk and a
-        # few (65,536,) temporaries of f; the one-shot grid needed 32-40 MiB
+    def test_peak_memory_is_one_chunk(self):
+        # one (65,536, 3) node chunk, the chunk's (65,536,) values and a few
+        # temporaries of f; the values of the whole grid alone were 8 MiB
         mib = 2**20
-        values = N * N * 8
         chunk = CHUNK_NODES * 3 * 8
         temporary = CHUNK_NODES * 8
-        bound = values + chunk + 5 * temporary
-        assert bound == 12 * mib
+        bound = chunk + 5 * temporary
+        assert bound == 4 * mib
         tracemalloc.start()
         try:
             quad_expectation(INTEGRANDS[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values < peak <= bound
+        assert chunk < peak <= bound
 
 
 class TestEnumeratePointlike:

@@ -5,7 +5,9 @@ so any change to a drawn bit, an outcome or a block sum shows up as a new
 SHA-256.  A second digest pins ``verify``'s whole report at four seeds.  A
 reference kernel, restated here as the package first wrote it
 (``np.where`` outcomes, float product sums and a fresh ``rng.split(i)`` per
-block), pins ``measure_pair_batch`` and the role tables bit for bit.
+block), pins ``measure_pair_batch`` and the role tables bit for bit; the
+draws, shares and feasibility decisions of ``verify``'s checks are pinned
+the same way against their first, one-batch forms.
 """
 
 import hashlib
@@ -28,7 +30,16 @@ from bellsphere import (
     angle_delta,
     measure_pair_batch,
 )
-from bellsphere.analysis import _role_table
+from bellsphere import analysis, cli
+from bellsphere.analysis import (
+    _FEASIBILITY_MATRIX,
+    JointTable,
+    _role_table,
+    chsh,
+    chsh_inequalities_hold,
+    e_closed,
+    fine_feasible,
+)
 from bellsphere.cli import main
 
 MODEL_NAMES = ("direct", "sign", "stochastic", "ensemble")
@@ -244,3 +255,129 @@ def test_quarter_sums_are_exact_counts(n, p_plus, seed):
     k = int(np.count_nonzero(prod < 0.0))
     assert same_bits(0.25 * (n - 2 * k), np.sum(prod))
     assert same_bits(n / 16, np.sum(prod * prod))
+
+
+# -- verify's checks against their one-batch forms ------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 202, 2**64 - 1])
+def test_plus_share_is_the_one_batch_share(seed):
+    # the distant-axis check draws each axis's pairs in 4096-pair pieces
+    rng = RngStream(seed)
+    a = Axis(0.3)
+    for i, n in itertools.product(range(8), (100_000, 1, 4096, 4097, 12_345)):
+        b = Axis(i * math.pi / 8)
+        got = cli._plus_share(a, b, n, rng.split(400 + i))
+        o1, _ = measure_pair_batch(EnsembleDep(), StaticSphere(), a, b, n, rng.split(400 + i))
+        assert same_bits(got, np.mean(o1 > 0))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_cross_check_draws_are_per_call_draws(seed, monkeypatch):
+    # the cross-check draws all its vectors at once; each is the 4 doubles
+    # that a draw of size 4 per vector gave
+    seen = []
+
+    def recording(es, marginals):
+        seen.append(np.array(es))
+        return fine_feasible(es, marginals)
+
+    monkeypatch.setattr(analysis, "fine_feasible", recording)
+    ok, _ = cli._check_feasibility_cross(RngStream(seed), 300)
+    assert ok
+    gen = np.random.default_rng(seed + 99)
+    want = [gen.uniform(-0.25, 0.25, size=4) for _ in range(300)]
+    assert len(seen) == 302  # then the maximal violation and the C = 2 point
+    assert all(same_bits(got, vec) for got, vec in zip(seen, want))
+
+
+def reference_fine_feasible(correlations, marginals):
+    # the residual as first written: max |A x - b| over a fresh difference
+    from scipy.optimize import nnls
+
+    b_eq = np.array([1.0, *[float(e) for e in correlations], *[float(p) for p in marginals]])
+    x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
+    if float(np.max(np.abs(_FEASIBILITY_MATRIX @ x - b_eq))) > 1e-9:
+        return False, None
+    return True, JointTable(x.reshape(2, 2, 2, 2))
+
+
+def reference_inequalities_hold(correlations):
+    # the four signed sums as first written: sum() of a generator
+    e = [float(x) for x in correlations]
+    for flip in range(4):
+        signed = sum(-v if i == flip else v for i, v in enumerate(e))
+        if abs(signed) > 0.5 + 1e-9:
+            return False
+    return True
+
+
+def sign_boundary_maxima():
+    # the sign model's C = 2 maxima on the pi/4 grid, pushed just inside and
+    # just outside the boundary, beyond the 1e-9 residual tolerance
+    grid = [i * math.pi / 4 for i in range(4)]
+    for quad in itertools.product(grid, repeat=4):
+        if abs(chsh(Sign(), quad).c_value - 2.0) < 1e-12:
+            a, b, a_prime, b_prime = quad
+            pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
+            es = [e_closed(Sign(), ta, tb) for ta, tb in pairs]
+            for scale in (1 - 1e-7, 1 - 1e-8, 1 - 1e-10, 1.0, 1 + 1e-10, 1 + 1e-8, 1 + 1e-7):
+                yield [scale * e for e in es]
+
+
+def feasibility_cases():
+    gen = np.random.default_rng(15)
+    half = [0.5] * 8
+    for es in gen.uniform(-0.25, 0.25, size=(300, 4)):
+        yield es, half
+    for es in sign_boundary_maxima():
+        yield es, half
+    for p in (0.9, 0.75, 0.6, 1.0, 0.0):
+        biased = [p, 1.0 - p, 0.5, 0.5, 0.5, 0.5, 1.0 - p, p]
+        yield [0.0, 0.0, 0.0, 0.0], biased
+        yield [-0.25, 0.0, 0.0, 0.0], biased
+        for es in gen.uniform(-0.25, 0.25, size=(20, 4)):
+            yield es, biased
+
+
+def test_fine_feasible_is_the_reference_decision():
+    decided = set()
+    for es, marginals in feasibility_cases():
+        feasible, table = fine_feasible(es, marginals)
+        want_feasible, want_table = reference_fine_feasible(es, marginals)
+        assert feasible == want_feasible, (es, marginals)
+        if feasible:
+            assert same_bits(table.probs, want_table.probs)
+        else:
+            assert table is None
+        decided.add(feasible)
+    assert decided == {True, False}
+
+
+def threshold_sums(gen, count):
+    # vectors whose signed sum with the minus at ``flip`` lands within a few
+    # ulp of the bound 1/2 + 1e-9, where the order of addition decides
+    bound = 0.5 + 1e-9
+    for flip, k in itertools.product(range(4), range(-3, 4)):
+        for rest in gen.uniform(0.1, 0.25, size=(count, 3)):
+            es = list(rest)
+            es.insert(flip, sum(rest) - bound + k * math.ulp(bound))
+            yield es
+
+
+def test_inequality_check_is_the_reference_sum():
+    gen = np.random.default_rng(16)
+    cases = [
+        *threshold_sums(gen, 100),
+        *gen.uniform(-0.3, 0.3, size=(2000, 4)),
+        *sign_boundary_maxima(),
+        [0.125, 0.125, 0.125, 0.125],  # every signed sum exactly 1/4
+        [0.25, -0.25, 0.0, 0.0],  # one signed sum exactly 1/2
+        [0.125, -0.125, 0.125, 0.125],
+        [0.0, -0.0, -0.0, 0.0],
+        [float("nan"), 0.0, 0.0, 0.0],
+        [float("inf"), float("inf"), 0.0, 0.0],
+        [float("-inf"), 0.0, 0.0, 0.0],
+    ]
+    for es in cases:
+        assert chsh_inequalities_hold(es) == reference_inequalities_hold(es), es
