@@ -54,6 +54,7 @@ from .analysis import (
     e_closed,
     estimate_correlation,
     fine_feasible,
+    fine_feasible_many,
     lune_probability,
     stochastic_sign_alt_form,
     sweep_chsh,
@@ -95,6 +96,7 @@ __all__ = [
     "enumerate_pointlike_E",
     "estimate_correlation",
     "fine_feasible",
+    "fine_feasible_many",
     "lune_probability",
     "measure_pair_batch",
     "measure_pointlike",

@@ -329,6 +329,45 @@ def _feasibility_matrix():
 _FEASIBILITY_MATRIX = _feasibility_matrix()
 
 
+_NOT_FINITE = "correlations must be finite, not NaN or +-inf"
+
+
+def _checked_marginals(width, finite, marginals) -> list[float]:
+    """The one home of the feasibility decision's input checks.  ``width``
+    is the length of each correlation vector (``None`` when the
+    correlations do not have the entry point's shape), ``finite`` whether
+    every correlation is finite; returns the eight marginals as floats,
+    each in [0, 1] and summing to 1 per observable."""
+    marginals = [float(p) for p in marginals]
+    if width != 4 or len(marginals) != 8:
+        raise ValueError("need 4 correlations and 8 marginals")
+    if not finite:
+        raise ValueError(_NOT_FINITE)
+    for p in marginals:
+        if not -1e-9 <= p <= 1.0 + 1e-9:
+            raise ValueError(f"marginal out of [0, 1]: {p!r}")
+    for obs_axis in range(4):
+        pair_sum = marginals[2 * obs_axis] + marginals[2 * obs_axis + 1]
+        if abs(pair_sum - 1.0) > 1e-9:
+            raise ValueError(
+                f"marginals for observable {obs_axis} sum to {pair_sum!r}, not 1"
+            )
+    return marginals
+
+
+def _decide(b_eq) -> tuple[bool, np.ndarray]:
+    """Nonnegative least squares on one right-hand side (1, correlations,
+    marginals); returns (largest row residual <= 1e-9, the solution)."""
+    # imported here: only this decision needs SciPy, and importing it is
+    # most of the package's start-up time
+    from scipy.optimize import nnls
+
+    x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
+    r = _FEASIBILITY_MATRIX @ x
+    r -= b_eq
+    return float(np.abs(r, out=r).max()) <= 1e-9, x
+
+
 def fine_feasible(
     correlations, marginals
 ) -> tuple[bool, JointTable | None]:
@@ -347,48 +386,60 @@ def fine_feasible(
     marginals).  Nonnegative least squares returns the closest table
     with every entry >= 0; it is accepted when its largest row residual is
     at most 1e-9, the single tolerance of this decision, and returned as
-    the witness.
+    the witness.  NaN or +-inf among the correlations raises ValueError.
+    :func:`fine_feasible_many` makes the same decision for many vectors.
     """
     correlations = [float(e) for e in correlations]
-    marginals = [float(p) for p in marginals]
-    if len(correlations) != 4 or len(marginals) != 8:
-        raise ValueError("need 4 correlations and 8 marginals")
-    for p in marginals:
-        if not -1e-9 <= p <= 1.0 + 1e-9:
-            raise ValueError(f"marginal out of [0, 1]: {p!r}")
-    for obs_axis in range(4):
-        pair_sum = marginals[2 * obs_axis] + marginals[2 * obs_axis + 1]
-        if abs(pair_sum - 1.0) > 1e-9:
-            raise ValueError(
-                f"marginals for observable {obs_axis} sum to {pair_sum!r}, not 1"
-            )
-    # imported here: only this decision needs SciPy, and importing it is
-    # most of the package's start-up time
-    from scipy.optimize import nnls
-
-    b_eq = np.array([1.0, *correlations, *marginals])
-    x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
-    residual = _FEASIBILITY_MATRIX @ x
-    residual -= b_eq
-    if float(np.abs(residual, out=residual).max()) > 1e-9:
+    marginals = _checked_marginals(
+        len(correlations), all(map(math.isfinite, correlations)), marginals
+    )
+    feasible, x = _decide(np.array([1.0, *correlations, *marginals]))
+    if not feasible:
         return False, None
     return True, JointTable(x.reshape(2, 2, 2, 2))
 
 
-def chsh_inequalities_hold(correlations) -> bool:
+def fine_feasible_many(correlations, marginals) -> np.ndarray:
+    """:func:`fine_feasible`'s decision for each row of a (k, 4) array of
+    correlations under one set of eight marginals, as a (k,) bool array.
+
+    The inputs are checked once and the k right-hand sides built as one
+    (k, 13) array; each row is then solved on its own, exactly as
+    :func:`fine_feasible` solves it, so every decision is the same.  No
+    witness tables are kept.
+    """
+    es = np.asarray(correlations, dtype=float)
+    marginals = _checked_marginals(
+        es.shape[1] if es.ndim == 2 else None, bool(np.isfinite(es).all()), marginals
+    )
+    b_eq = np.empty((len(es), 13))
+    b_eq[:, 0] = 1.0
+    b_eq[:, 1:5] = es
+    b_eq[:, 5:] = marginals
+    return np.array([_decide(b)[0] for b in b_eq], dtype=bool)
+
+
+def chsh_inequalities_hold(correlations):
     """Direct check of the eight CHSH sign variants on the +-1/2 outcome
     scale: |+-E_ab +- E_ab' +- E_a'b +- E_a'b'| <= 2 (1/2)^2 + 1e-9 for
     every odd number of minus signs.  Independent of the least-squares route
     on purpose.
+
+    A vector (E_ab, E_ab', E_a'b, E_a'b') gives a bool; a (k, 4) array gives
+    a (k,) bool array, one decision per row.  NaN or +-inf raises
+    ValueError.
     """
-    e_ab, e_abp, e_apb, e_apbp = (float(x) for x in correlations)
+    es = np.asarray(correlations, dtype=float)
+    if es.ndim not in (1, 2) or es.shape[-1] != 4:
+        raise ValueError(f"need 4 correlations per vector, got shape {es.shape}")
+    if not np.isfinite(es).all():
+        raise ValueError(_NOT_FINITE)
+    e_ab, e_abp, e_apb, e_apbp = es.T
     # each sum left to right, as the sum of a list of the four signed terms
-    for signed in (
-        -e_ab + e_abp + e_apb + e_apbp,
-        e_ab - e_abp + e_apb + e_apbp,
-        e_ab + e_abp - e_apb + e_apbp,
-        e_ab + e_abp + e_apb - e_apbp,
-    ):
-        if abs(signed) > 0.5 + 1e-9:
-            return False
-    return True
+    hold = (
+        (abs(-e_ab + e_abp + e_apb + e_apbp) <= 0.5 + 1e-9)
+        & (abs(e_ab - e_abp + e_apb + e_apbp) <= 0.5 + 1e-9)
+        & (abs(e_ab + e_abp - e_apb + e_apbp) <= 0.5 + 1e-9)
+        & (abs(e_ab + e_abp + e_apb - e_apbp) <= 0.5 + 1e-9)
+    )
+    return bool(hold) if es.ndim == 1 else hold

@@ -472,12 +472,12 @@ def _check_parameter_independence(rng: RngStream):
 def _check_feasibility_cross(rng: RngStream, samples: int):
     gen = np.random.default_rng(rng.seed + 99)
     marginals = [0.5] * 8
-    disagreements = 0
     # one draw of all the vectors: the doubles of a draw of 4 per vector
-    for es in gen.uniform(-0.25, 0.25, size=(samples, 4)):
-        feasible, _ = analysis.fine_feasible(es, marginals)
-        if feasible != analysis.chsh_inequalities_hold(es):
-            disagreements += 1
+    vectors = gen.uniform(-0.25, 0.25, size=(samples, 4))
+    disagreements = np.count_nonzero(
+        analysis.fine_feasible_many(vectors, marginals)
+        != analysis.chsh_inequalities_hold(vectors)
+    )
     quad = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
     pairs = [(quad[0], quad[1]), (quad[0], quad[3]), (quad[2], quad[1]), (quad[2], quad[3])]
     ens = [analysis.e_closed(detectors.EnsembleDep(), ta, tb) for ta, tb in pairs]

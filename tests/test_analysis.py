@@ -21,6 +21,7 @@ from bellsphere import (
     enumerate_pointlike_E,
     estimate_correlation,
     fine_feasible,
+    fine_feasible_many,
     lune_probability,
     measure_pair_batch,
     stochastic_sign_alt_form,
@@ -421,6 +422,25 @@ class TestFineFeasible:
             fine_feasible([0.0] * 4, [1.2, -0.2] + [0.5] * 6)
         with pytest.raises(ValueError):
             fine_feasible([0.0] * 3, HALF_MARGINALS)
+
+    @pytest.mark.parametrize("one, many", [
+        # a marginal out of [0, 1]
+        (([0.0] * 4, [1.2, -0.2] + [0.5] * 6), (np.zeros((3, 4)), [1.2, -0.2] + [0.5] * 6)),
+        # a pair that does not sum to 1
+        (([0.0] * 4, [0.5] * 6 + [0.6, 0.6]), (np.zeros((3, 4)), [0.5] * 6 + [0.6, 0.6])),
+        # three correlations per vector
+        (([0.0] * 3, HALF_MARGINALS), (np.zeros((3, 3)), HALF_MARGINALS)),
+        # one vector where a batch is expected
+        (([0.0] * 3, HALF_MARGINALS), (np.zeros(4), HALF_MARGINALS)),
+        # seven marginals
+        (([0.0] * 4, [0.5] * 7), (np.zeros((3, 4)), [0.5] * 7)),
+    ])
+    def test_batch_rejects_with_the_one_vector_message(self, one, many):
+        with pytest.raises(ValueError) as want:
+            fine_feasible(*one)
+        with pytest.raises(ValueError) as got:
+            fine_feasible_many(*many)
+        assert str(got.value) == str(want.value)
 
     def test_pushed_boundary_maxima_decided_like_inequalities(self):
         # the sign model's C = 2 maxima on the pi/4 grid, pushed just inside

@@ -39,6 +39,7 @@ from bellsphere.analysis import (
     chsh_inequalities_hold,
     e_closed,
     fine_feasible,
+    fine_feasible_many,
 )
 from bellsphere.cli import main
 
@@ -274,21 +275,32 @@ def test_plus_share_is_the_one_batch_share(seed):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_cross_check_draws_are_per_call_draws(seed, monkeypatch):
-    # the cross-check draws all its vectors at once; each is the 4 doubles
-    # that a draw of size 4 per vector gave
-    seen = []
+    # the cross-check draws all its vectors at once and decides them in one
+    # batch; each row is the 4 doubles that a draw of size 4 per vector gave
+    batches, singles = [], []
+
+    def recording_many(es, marginals):
+        batches.append(np.array(es))
+        return fine_feasible_many(es, marginals)
 
     def recording(es, marginals):
-        seen.append(np.array(es))
+        singles.append(np.array(es))
         return fine_feasible(es, marginals)
 
+    monkeypatch.setattr(analysis, "fine_feasible_many", recording_many)
     monkeypatch.setattr(analysis, "fine_feasible", recording)
     ok, _ = cli._check_feasibility_cross(RngStream(seed), 300)
     assert ok
     gen = np.random.default_rng(seed + 99)
     want = [gen.uniform(-0.25, 0.25, size=4) for _ in range(300)]
-    assert len(seen) == 302  # then the maximal violation and the C = 2 point
-    assert all(same_bits(got, vec) for got, vec in zip(seen, want))
+    assert len(batches) == 1 and batches[0].shape == (300, 4)
+    assert all(same_bits(got, vec) for got, vec in zip(batches[0], want))
+    # the maximal violation and the C = 2 point are still decided one by one
+    quad = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+    pairs = [(quad[0], quad[1]), (quad[0], quad[3]), (quad[2], quad[1]), (quad[2], quad[3])]
+    assert len(singles) == 2
+    for got, model in zip(singles, (EnsembleDep(), Sign())):
+        assert same_bits(got, np.array([e_closed(model, ta, tb) for ta, tb in pairs]))
 
 
 def reference_fine_feasible(correlations, marginals):
@@ -375,9 +387,71 @@ def test_inequality_check_is_the_reference_sum():
         [0.25, -0.25, 0.0, 0.0],  # one signed sum exactly 1/2
         [0.125, -0.125, 0.125, 0.125],
         [0.0, -0.0, -0.0, 0.0],
-        [float("nan"), 0.0, 0.0, 0.0],
-        [float("inf"), float("inf"), 0.0, 0.0],
-        [float("-inf"), 0.0, 0.0, 0.0],
     ]
     for es in cases:
         assert chsh_inequalities_hold(es) == reference_inequalities_hold(es), es
+
+
+NON_FINITE = [
+    [float("nan"), 0.0, 0.0, 0.0],
+    [float("inf"), float("inf"), 0.0, 0.0],
+    [float("-inf"), 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, float("nan")],
+]
+
+
+@pytest.mark.parametrize("es", NON_FINITE)
+def test_non_finite_correlations_are_rejected_by_both_routes(es):
+    half = [0.5] * 8
+    batch = np.array([[0.0] * 4, es, [0.1] * 4])
+    for decide in (
+        lambda: chsh_inequalities_hold(es),
+        lambda: chsh_inequalities_hold(batch),
+        lambda: fine_feasible(es, half),
+        lambda: fine_feasible_many(batch, half),
+    ):
+        with pytest.raises(ValueError, match="correlations must be finite"):
+            decide()
+
+
+# -- the batch forms against the one-vector forms --------------------------------
+
+
+def test_batch_decision_is_the_reference_decision():
+    # grouped by marginals: random vectors, the pushed C = 2 maxima and the
+    # biased marginals, each group decided in one batch
+    groups = {}
+    for es, marginals in feasibility_cases():
+        groups.setdefault(tuple(marginals), []).append(es)
+    decided = set()
+    for marginals, vectors in groups.items():
+        got = fine_feasible_many(np.array(vectors), list(marginals))
+        want = [reference_fine_feasible(es, marginals)[0] for es in vectors]
+        assert got.dtype == bool and got.shape == (len(vectors),)
+        assert got.tolist() == want, marginals
+        decided |= set(want)
+    assert len(groups) == 6 and decided == {True, False}
+
+
+def test_batch_inequality_check_is_the_reference_sum():
+    gen = np.random.default_rng(17)
+    for cases in (np.array(list(threshold_sums(gen, 100))),
+                  gen.uniform(-0.3, 0.3, size=(2000, 4))):
+        got = chsh_inequalities_hold(cases)
+        assert got.dtype == bool and got.shape == (len(cases),)
+        assert got.tolist() == [reference_inequalities_hold(es) for es in cases]
+        assert got.tolist() == [chsh_inequalities_hold(es) for es in cases]
+        assert {True, False} <= set(got.tolist())
+
+
+def test_one_vector_and_empty_batches():
+    half = [0.5] * 8
+    inside, outside = [0.125, -0.125, 0.125, 0.125], [0.2, -0.2, 0.2, 0.2]
+    for es, want in ((inside, True), (outside, False)):
+        assert fine_feasible_many([es], half).tolist() == [want]
+        assert chsh_inequalities_hold([es]).tolist() == [want]
+        assert fine_feasible(es, half)[0] is want
+        assert chsh_inequalities_hold(es) is want
+    for decided in (fine_feasible_many(np.empty((0, 4)), half),
+                    chsh_inequalities_hold(np.empty((0, 4)))):
+        assert decided.dtype == bool and decided.shape == (0,)
