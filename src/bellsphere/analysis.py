@@ -302,9 +302,10 @@ class JointTable:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (2, 2, 2, 2):
             raise ValueError(f"expected shape (2, 2, 2, 2), got {probs.shape}")
-        if probs.min() < -1e-9:
+        # the ufuncs' own reduces: min() and sum() add a Python wrapper
+        if np.minimum.reduce(probs, axis=None) < -1e-9:
             raise ValueError("joint table entries must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-6:
+        if abs(np.add.reduce(probs, axis=None) - 1.0) > 1e-6:
             raise ValueError("joint table must sum to 1")
         self.probs = np.maximum(probs, 0.0)
 
@@ -338,7 +339,7 @@ def _checked_marginals(width, finite, marginals) -> list[float]:
     correlations do not have the entry point's shape), ``finite`` whether
     every correlation is finite; returns the eight marginals as floats,
     each in [0, 1] and summing to 1 per observable."""
-    marginals = [float(p) for p in marginals]
+    marginals = list(map(float, marginals))
     if width != 4 or len(marginals) != 8:
         raise ValueError("need 4 correlations and 8 marginals")
     if not finite:
@@ -365,7 +366,8 @@ def _decide(b_eq) -> tuple[bool, np.ndarray]:
     x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
     r = _FEASIBILITY_MATRIX @ x
     r -= b_eq
-    return float(np.abs(r, out=r).max()) <= 1e-9, x
+    # the ufunc's own reduce: r.max() adds a Python wrapper
+    return float(np.maximum.reduce(np.abs(r, out=r))) <= 1e-9, x
 
 
 def fine_feasible(
@@ -389,7 +391,7 @@ def fine_feasible(
     the witness.  NaN or +-inf among the correlations raises ValueError.
     :func:`fine_feasible_many` makes the same decision for many vectors.
     """
-    correlations = [float(e) for e in correlations]
+    correlations = list(map(float, correlations))
     marginals = _checked_marginals(
         len(correlations), all(map(math.isfinite, correlations)), marginals
     )
