@@ -339,7 +339,10 @@ def _checked_marginals(width, finite, marginals) -> list[float]:
     correlations do not have the entry point's shape), ``finite`` whether
     every correlation is finite; returns the eight marginals as floats,
     each in [0, 1] and summing to 1 per observable."""
-    marginals = list(map(float, marginals))
+    try:
+        marginals = list(map(float, marginals))
+    except TypeError:  # nested: not eight numbers
+        marginals = []
     if width != 4 or len(marginals) != 8:
         raise ValueError("need 4 correlations and 8 marginals")
     if not finite:
@@ -391,7 +394,10 @@ def fine_feasible(
     the witness.  NaN or +-inf among the correlations raises ValueError.
     :func:`fine_feasible_many` makes the same decision for many vectors.
     """
-    correlations = list(map(float, correlations))
+    try:
+        correlations = list(map(float, correlations))
+    except TypeError:  # nested: not four numbers
+        correlations = []
     marginals = _checked_marginals(
         len(correlations), all(map(math.isfinite, correlations)), marginals
     )

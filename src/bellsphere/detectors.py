@@ -26,8 +26,12 @@ from .distributions import (
     Hemisphere,
     PairSource,
     ensemble_mean_projection,
+    pair_draws,
+    pair_yz,
     sample_pair,
 )
+
+_DOUBT = 2.0**-14  # float32-screened projections this close to 0 are redone; see _signs
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,17 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
         )
     if isinstance(model, Direct):
         return p
-    return np.subtract(_plus(model, p, rng), 0.5)
+    return np.subtract(_plus(model, p >= 0.0, rng), 0.5)
 
 
-def _plus(model: DetectorModel, p, rng: RngStream | None):
-    """Where a +-1/2 point-like detector reads +1/2, as a boolean mask of
-    ``p``'s shape; the outcome is the mask minus 1/2."""
-    plus = p >= 0.0
+def _plus(model: DetectorModel, plus, rng: RngStream | None):
+    """Where a +-1/2 point-like detector reads +1/2, from ``plus``, the mask
+    p >= 0 of its projections (overwritten); the outcome is mask - 1/2."""
     if isinstance(model, StochasticSign):
         if rng is None:
             raise ValueError("StochasticSign needs an RngStream")
         # the projection's sign is kept where the flip draw is below p_hi
-        np.equal(plus, rng.uniform(p.shape) < model.p_hi, out=plus)
+        np.equal(plus, rng.uniform(plus.shape) < model.p_hi, out=plus)
     return plus
 
 
@@ -165,18 +168,45 @@ def sequence_outcomes(
     return out
 
 
-def _projections(y, z, axes, sign: float) -> np.ndarray:
-    """(m, n) projections of the vectors sign * (., y, z) onto each of the m
-    axes, one row per axis.
-
-    ``sign = -1`` folds particle 2's j2 = -j1 into the coefficients:
-    y * (-sin t) equals (-y) * sin t bit for bit.
-    """
-    sin_t = np.array([[sign * math.sin(axis.theta)] for axis in axes])
-    cos_t = np.array([[sign * math.cos(axis.theta)] for axis in axes])
-    p = y * sin_t
-    p += z * cos_t
+def _projections(y, z, axes_a, axes_b) -> np.ndarray:
+    """(m_a + m_b, n) projections in y's dtype, one row per axis: particle
+    1's (., y, z) onto each of ``axes_a``, then particle 2's onto each of
+    ``axes_b``, with j2 = -j1 folded into its coefficients (y * (-sin t)
+    equals (-y) * sin t bit for bit)."""
+    sin_t = [[math.sin(t.theta)] for t in axes_a] + [[-math.sin(t.theta)] for t in axes_b]
+    cos_t = [[math.cos(t.theta)] for t in axes_a] + [[-math.cos(t.theta)] for t in axes_b]
+    p = y * np.array(sin_t, dtype=y.dtype)
+    p += z * np.array(cos_t, dtype=y.dtype)
     return p
+
+
+def _signs(source: PairSource, draws, axes_a, axes_b) -> np.ndarray:
+    """The mask p >= 0 of a block's float64 :func:`_projections`, bit for
+    bit, decided for most pairs from float32 trig and projections.
+
+    An argument in [0, 2 pi) rounded to float32 moves by at most 2^-22,
+    and NumPy's float32 sin and cos err by about 1.5 ulp, 1.5 * 2^-24, at
+    most; so a trig value is off by delta < 2^-21.5, on the sphere in
+    y = r sin(az) only.  In the rotating frame, errors e1, e2 in sin and
+    cos beta and e3 in yf move (y, z) by zf (e1, e2) + yf (e2, -e1) +
+    e3 (cos beta, -sin beta) to first order, at most (1 + sqrt 2) delta <
+    2^-20.2 as the first two terms are orthogonal; a unit axis passes no
+    more to p.  Seven float32 roundings (y, z, two coefficients, two
+    products, the sum; each below 2) add at most 4.2 * 2^-24.  So the
+    screened p' is within 2^-19 of p, and where |p'| >= _DOUBT = 2^-14,
+    32 times that, p has the sign of p'.  The pairs with some |p'| below
+    _DOUBT, about 6 in 10^5 per axis, are evaluated again in float64."""
+    def float32(trig):
+        return lambda x, out=None: trig(x.astype(np.float32), out=out)
+
+    y, z = pair_yz(source, draws, float32(np.sin), float32(np.cos))
+    p = _projections(y.astype(np.float32), z.astype(np.float32), axes_a, axes_b)
+    plus = p >= 0.0
+    doubt = np.flatnonzero(np.minimum.reduce(np.abs(p, out=p), axis=0) < _DOUBT)
+    if doubt.size:
+        exact = _projections(*pair_yz(source, draws, np.sin, np.cos, doubt), axes_a, axes_b)
+        plus[:, doubt] = exact >= 0.0
+    return plus
 
 
 def _quarter_sums(disagree, n: int):
@@ -205,6 +235,9 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     their outcomes as boolean masks and multiply nothing: each product is
     +-1/4, so every partial sum of a block is exact in any order, and the
     sums are 1/4 (n - 2k) and n/16, k the pairs whose outcomes disagree.
+    Their tables read only signs, which :func:`_signs` screens in float32
+    and are the float64 signs bit for bit; ``Direct`` reads the values, so
+    it and the single-axis path project in float64.
 
     Point-like models draw particle 1's in-plane components from the source
     and measure j1 and j2 = -j1 locally.  The ensemble detector instead
@@ -238,17 +271,20 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
             for row in cos_ab
         ]
         return _quarter_sums(disagree, n)
-    y, z = sample_pair(source, rng, n)
-    p1, p2 = _projections(y, z, axes_a, 1.0), _projections(y, z, axes_b, -1.0)
-    if single:
-        return measure_pointlike(model, p1[0], rng), measure_pointlike(model, p2[0], rng)
-    if isinstance(model, Direct):
-        s = np.empty((len(axes_a), len(axes_b)))
+    m_a = len(axes_a)
+    if single or isinstance(model, Direct):
+        y, z = sample_pair(source, rng, n)
+        p1, p2 = _projections(y, z, axes_a, []), _projections(y, z, [], axes_b)
+        if single:
+            return measure_pointlike(model, p1[0], rng), measure_pointlike(model, p2[0], rng)
+        s = np.empty((m_a, len(axes_b)))
         s2 = np.empty_like(s)
-        for i in range(len(axes_a)):
+        for i in range(m_a):
             prod = p1[i] * p2
             s[i] = prod.sum(axis=-1)
             s2[i] = np.multiply(prod, prod, out=prod).sum(axis=-1)
         return s, s2
-    plus1, plus2 = _plus(model, p1, rng), _plus(model, p2, rng)
-    return _quarter_sums([[np.count_nonzero(r != q) for q in plus2] for r in plus1], n)
+    # one flip draw of shape (m_a + m_b, n) reads the bits of the draws of
+    # shapes (m_a, n) and (m_b, n) in turn
+    plus = _plus(model, _signs(source, pair_draws(source, rng, n), axes_a, axes_b), rng)
+    return _quarter_sums([[np.count_nonzero(r != q) for q in plus[m_a:]] for r in plus[:m_a]], n)

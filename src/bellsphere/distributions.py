@@ -23,9 +23,9 @@ from .geometry import (
     Axis,
     RngStream,
     _radius,
+    _sphere_coordinates,
     angle_delta,
     project,
-    sample_sphere_yz,
 )
 
 _DENSITY_NODES = 2048  # midpoint nodes of quad_density_normalization
@@ -168,6 +168,42 @@ class RotatingHemispheres:
 PairSource = StaticSphere | RotatingHemispheres
 
 
+def pair_draws(source: PairSource, rng: RngStream, n: int) -> np.ndarray:
+    """The ``n`` pairs' uniform draws, a row of 2 (sphere) or 4 (rotating) each."""
+    if not isinstance(source, (StaticSphere, RotatingHemispheres)):
+        raise TypeError(f"not a pair source: {source!r}")
+    return rng.uniform((n, 2 if isinstance(source, StaticSphere) else 4))
+
+
+def pair_yz(source: PairSource, draws, sin, cos, index=slice(None)):
+    """Particle 1's in-plane components (y, z) of the pairs ``draws[index]``,
+    the one home of the sources' formula; ``sin`` and ``cos`` are called as
+    NumPy's are.  A pair's y and z depend on its own draws alone, so they
+    are the same whichever pairs are evaluated with it."""
+    draws = draws[index]
+    if isinstance(source, StaticSphere):
+        z, az, r = _sphere_coordinates(draws)
+        r *= sin(az, out=az)
+        return r, z
+    beta = TWO_PI * draws[:, 0]
+    # side +-1 by arithmetic on the mask: no branch on random bits
+    side = (draws[:, 1] < 0.5) * 2.0
+    side -= 1.0
+    zf = 1.0 - draws[:, 2]
+    zf *= side
+    yf = TWO_PI * draws[:, 3]
+    sin(yf, out=yf)
+    yf *= _radius(zf)
+    sin_beta = sin(beta)
+    cos_beta = cos(beta, out=beta)
+    # the frame's z axis turned onto the plane axis (0, sin beta, cos beta)
+    y = zf * sin_beta
+    y += yf * cos_beta
+    z = zf * cos_beta
+    z -= yf * sin_beta
+    return y, z
+
+
 def sample_pair(source: PairSource, rng: RngStream, n: int):
     """Draw ``n`` anti-correlated pairs; returns (y, z), particle 1's in-plane
     components, each (n,).
@@ -176,25 +212,4 @@ def sample_pair(source: PairSource, rng: RngStream, n: int):
     y-z plane, so these two components are all a measurement of either
     particle reads.
     """
-    if isinstance(source, StaticSphere):
-        return sample_sphere_yz(rng, n)
-    if isinstance(source, RotatingHemispheres):
-        draws = rng.uniform((n, 4))
-        beta = TWO_PI * draws[:, 0]
-        # side +-1 by arithmetic on the mask: no branch on random bits
-        side = (draws[:, 1] < 0.5) * 2.0
-        side -= 1.0
-        zf = 1.0 - draws[:, 2]
-        zf *= side
-        yf = TWO_PI * draws[:, 3]
-        np.sin(yf, out=yf)
-        yf *= _radius(zf)
-        sin_beta = np.sin(beta)
-        cos_beta = np.cos(beta, out=beta)
-        # the frame's z axis turned onto the plane axis (0, sin beta, cos beta)
-        y = zf * sin_beta
-        y += yf * cos_beta
-        z = zf * cos_beta
-        z -= yf * sin_beta
-        return y, z
-    raise TypeError(f"not a pair source: {source!r}")
+    return pair_yz(source, pair_draws(source, rng, n), np.sin, np.cos)

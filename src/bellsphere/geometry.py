@@ -120,10 +120,9 @@ def project(j: np.ndarray, axis: Axis):
     return j[..., 1] * math.sin(axis.theta) + j[..., 2] * math.cos(axis.theta)
 
 
-def _sphere_coordinates(rng: RngStream, n: int):
-    """Height z = 2u - 1, azimuth 2 pi v and distance from the z axis of ``n``
-    uniform unit vectors, each a fresh (n,) array."""
-    draws = rng.uniform((n, 2))
+def _sphere_coordinates(draws):
+    """Height z = 2u - 1, azimuth 2 pi v and distance from the z axis of the
+    unit vectors drawn as the rows (u, v) of ``draws``, each a fresh array."""
     z = 2.0 * draws[:, 0]
     z -= 1.0
     return z, TWO_PI * draws[:, 1], _radius(z)
@@ -139,14 +138,5 @@ def _radius(z):
 
 def sample_sphere(rng: RngStream, n: int) -> np.ndarray:
     """``n`` uniform unit vectors as an (n, 3) array: z = 2u - 1, azimuth = 2 pi v."""
-    z, az, r = _sphere_coordinates(rng, n)
+    z, az, r = _sphere_coordinates(rng.uniform((n, 2)))
     return np.stack([r * np.cos(az), r * np.sin(az), z], axis=-1)
-
-
-def sample_sphere_yz(rng: RngStream, n: int):
-    """The y and z components of ``sample_sphere(rng, n)``, each (n,), without
-    computing x: every measurement axis lies in the y-z plane."""
-    z, az, r = _sphere_coordinates(rng, n)
-    r *= np.sin(az, out=az)
-    return r, z
-

@@ -7,7 +7,9 @@ reference kernel, restated here as the package first wrote it
 (``np.where`` outcomes, float product sums and a fresh ``rng.split(i)`` per
 block), pins ``measure_pair_batch`` and the role tables bit for bit; the
 draws, shares and feasibility decisions of ``verify``'s checks are pinned
-the same way against their first, one-batch forms.
+the same way against their first, one-batch forms.  The +-1/2 models'
+float32 screen is held to its error bound and to the reference through its
+float64 fallback.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ from bellsphere import (
     angle_delta,
     measure_pair_batch,
 )
-from bellsphere import analysis, cli
+from bellsphere import analysis, cli, detectors
 from bellsphere.analysis import (
     _FEASIBILITY_MATRIX,
     JointTable,
@@ -42,6 +44,7 @@ from bellsphere.analysis import (
     fine_feasible_many,
 )
 from bellsphere.cli import main
+from bellsphere.distributions import pair_draws, pair_yz
 
 MODEL_NAMES = ("direct", "sign", "stochastic", "ensemble")
 SOURCE_NAMES = ("sphere", "rotating")
@@ -230,6 +233,100 @@ class TestKernelAgainstReference:
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
+# -- the +-1/2 models' float32 screen -------------------------------------------
+
+
+def recording_pair_yz(monkeypatch):
+    """The index arrays of the pairs that measure_pair_batch evaluates again
+    in float64, recorded as they are passed."""
+    recomputed = []
+
+    def recording(source, draws, sin, cos, index=slice(None)):
+        if not isinstance(index, slice):
+            recomputed.append(np.array(index))
+        return pair_yz(source, draws, sin, cos, index)
+
+    monkeypatch.setattr(detectors, "pair_yz", recording)
+    return recomputed
+
+
+SIGN_MODELS = [Sign(), StochasticSign()]
+
+
+class TestFloat32Screen:
+    def test_float32_trig_error_is_far_inside_the_band(self):
+        x = np.random.default_rng(18).uniform(0.0, TWO_PI, size=2**20)
+        for trig in (np.sin, np.cos):
+            err = np.abs(trig(x.astype(np.float32)).astype(np.float64) - trig(x))
+            assert float(err.max()) < detectors._DOUBT / 16, trig
+
+    @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_NAMES)
+    def test_screened_projections_are_within_the_derived_bound(self, source):
+        # the docstring of detectors._signs bounds |p' - p| by 2^-19
+        axes = [Axis(t) for t in np.random.default_rng(19).uniform(0.0, TWO_PI, size=8)]
+
+        def float32(trig):
+            return lambda x, out=None: trig(x.astype(np.float32), out=out)
+
+        draws = pair_draws(source, RngStream(19), 2**18)
+        y, z = pair_yz(source, draws, float32(np.sin), float32(np.cos))
+        screened = detectors._projections(y.astype(np.float32), z.astype(np.float32), axes, [])
+        exact = detectors._projections(*pair_yz(source, draws, np.sin, np.cos), axes, [])
+        assert float(np.abs(screened.astype(np.float64) - exact).max()) < 2.0**-19
+
+    @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_NAMES)
+    @pytest.mark.parametrize("model", SIGN_MODELS, ids=["sign", "stochastic"])
+    @pytest.mark.parametrize("table", TABLES, ids=list(TABLES))
+    def test_every_pair_through_the_fallback_is_the_reference(
+        self, model, source, table, monkeypatch
+    ):
+        monkeypatch.setattr(detectors, "_DOUBT", math.inf)
+        recomputed = recording_pair_yz(monkeypatch)
+        thetas_a, thetas_b = TABLES[table]
+        for n in (1, 777, 4096):
+            recomputed.clear()
+            got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(9, n), 1000)
+            want = reference_role_table(
+                model, source, thetas_a, thetas_b, n, RngStream(9, n), 1000
+            )
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert sum(len(index) for index in recomputed) == n
+
+    @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_NAMES)
+    @pytest.mark.parametrize("model", SIGN_MODELS, ids=["sign", "stochastic"])
+    def test_a_projection_near_zero_goes_through_the_fallback(
+        self, model, source, monkeypatch
+    ):
+        recomputed = recording_pair_yz(monkeypatch)
+        n, k = 777, 123
+        y, z = reference_pair(source, RngStream(10), n)
+        # the axis perpendicular to pair k's in-plane components
+        edge = Axis(math.atan2(-z[k], y[k]))
+        p_k = y[k] * math.sin(edge.theta) + z[k] * math.cos(edge.theta)
+        assert abs(p_k) < 1e-9
+        for axes_a, axes_b in (([edge, Axis(1.0)], [Axis(2.0)]), ([Axis(0.5)], [Axis(3.0), edge])):
+            recomputed.clear()
+            got = measure_pair_batch(model, source, axes_a, axes_b, n, RngStream(10))
+            want = reference_sums(model, source, axes_a, axes_b, n, RngStream(10))
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert len(recomputed) == 1 and k in recomputed[0]
+
+    def test_seeded_sweep_is_the_reference_and_uses_the_fallback(self, monkeypatch):
+        recomputed = recording_pair_yz(monkeypatch)
+        gen = np.random.default_rng(20)
+        for i in range(160):
+            model, source = SIGN_MODELS[i % 2], SOURCES[i // 2 % 2]
+            axes_a, axes_b = (
+                [Axis(t) for t in gen.uniform(0.0, TWO_PI, size=gen.integers(1, 5))]
+                for _ in range(2)
+            )
+            n = int(gen.integers(1, 4097))
+            got = measure_pair_batch(model, source, axes_a, axes_b, n, RngStream(20, i))
+            want = reference_sums(model, source, axes_a, axes_b, n, RngStream(20, i))
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), i
+        assert recomputed
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**64 - 1),
@@ -411,6 +508,24 @@ def test_non_finite_correlations_are_rejected_by_both_routes(es):
         lambda: fine_feasible_many(batch, half),
     ):
         with pytest.raises(ValueError, match="correlations must be finite"):
+            decide()
+
+
+NESTED = [
+    ([[0.0, 0.0, 0.0, 0.0]], [0.5] * 8),
+    ([[0.0]] * 4, [0.5] * 8),
+    ([0.0] * 4, [[0.5] * 8]),
+    ([0.0] * 4, [[0.5, 0.5]] * 4),
+]
+
+
+@pytest.mark.parametrize("es, marginals", NESTED)
+def test_nested_inputs_are_rejected_by_both_routes(es, marginals):
+    for decide in (
+        lambda: fine_feasible(es, marginals),
+        lambda: fine_feasible_many([es], marginals),
+    ):
+        with pytest.raises(ValueError, match="need 4 correlations and 8 marginals"):
             decide()
 
 
