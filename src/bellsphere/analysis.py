@@ -26,8 +26,8 @@ from .detectors import (
     EnsembleDep,
     Sign,
     StochasticSign,
-    measure_pair_batch,
     model_name,
+    role_sums,
     v_max,
 )
 
@@ -121,7 +121,8 @@ def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
     child stream ``rng.split(i)`` (one generator re-keyed per block, see
     :meth:`RngStream.children`), every entry of the table reads the same
     draws, and block sums are added in block order, so the tables are
-    bit-identical for a given (seed, stream_id, block_size).
+    bit-identical for a given (seed, stream_id, block_size).  The kernel
+    (:func:`detectors.role_sums`) takes blocks a chunk at a time.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -129,10 +130,7 @@ def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
         raise ValueError("block_size must be at least 1")
     axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
     total = total_sq = 0.0
-    for start, block_rng in zip(range(0, n, block_size), rng.children()):
-        s, s2 = measure_pair_batch(
-            model, source, axes_a, axes_b, min(block_size, n - start), block_rng
-        )
+    for s, s2 in role_sums(model, source, axes_a, axes_b, n, block_size, rng.children()):
         total, total_sq = total + s, total_sq + s2
     e_hat = total / n
     if n > 1:
@@ -153,9 +151,9 @@ def estimate_correlation(
 ) -> CorrelationRecord:
     """Monte Carlo estimate of E(a, b) over ``n`` pair measurements, the 1 x 1
     role table: block i draws from the child stream ``rng.split(i)`` and
-    block sums are added in block order, so the result is bit-identical for
-    a given (seed, stream_id, block_size).
-    """
+    block sums are added in block order (measured 16,384 pairs at a time by
+    default), so the result is bit-identical for a given (seed, stream_id,
+    block_size)."""
     e_hat, std_err = _role_table(model, source, [theta_a], [theta_b], n, rng, block_size)
     return CorrelationRecord(
         model=model_name(model),

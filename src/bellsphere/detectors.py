@@ -15,6 +15,7 @@ mechanism probed by the CHSH analysis layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,13 +26,14 @@ from .distributions import (
     Ensemble,
     Hemisphere,
     PairSource,
+    draw_width,
     ensemble_mean_projection,
-    pair_draws,
     pair_yz,
     sample_pair,
 )
 
 _DOUBT = 2.0**-14  # float32-screened projections this close to 0 are redone; see _signs
+_CHUNK_VALUES = 32_768  # projections per Monte Carlo chunk; see role_sums
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,18 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
         )
     if isinstance(model, Direct):
         return p
-    return np.subtract(_plus(model, p >= 0.0, rng), 0.5)
-
-
-def _plus(model: DetectorModel, plus, rng: RngStream | None):
-    """Where a +-1/2 point-like detector reads +1/2, from ``plus``, the mask
-    p >= 0 of its projections (overwritten); the outcome is mask - 1/2."""
+    plus = p >= 0.0
     if isinstance(model, StochasticSign):
         if rng is None:
             raise ValueError("StochasticSign needs an RngStream")
-        # the projection's sign is kept where the flip draw is below p_hi
-        np.equal(plus, rng.uniform(plus.shape) < model.p_hi, out=plus)
-    return plus
+        _flip(plus, rng.uniform(plus.shape), model.p_hi)
+    return np.subtract(plus, 0.5)
+
+
+def _flip(plus, flips, p_hi: float):
+    """StochasticSign's +1/2 mask from its sign mask ``plus`` (overwritten):
+    the sign is kept where the flip draw is below ``p_hi``."""
+    return np.equal(plus, flips < p_hi, out=plus)
 
 
 def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]:
@@ -172,17 +174,19 @@ def _projections(y, z, axes_a, axes_b) -> np.ndarray:
     """(m_a + m_b, n) projections in y's dtype, one row per axis: particle
     1's (., y, z) onto each of ``axes_a``, then particle 2's onto each of
     ``axes_b``, with j2 = -j1 folded into its coefficients (y * (-sin t)
-    equals (-y) * sin t bit for bit)."""
+    equals (-y) * sin t bit for bit); z terms go through a row-sized scratch."""
     sin_t = [[math.sin(t.theta)] for t in axes_a] + [[-math.sin(t.theta)] for t in axes_b]
     cos_t = [[math.cos(t.theta)] for t in axes_a] + [[-math.cos(t.theta)] for t in axes_b]
     p = y * np.array(sin_t, dtype=y.dtype)
-    p += z * np.array(cos_t, dtype=y.dtype)
+    term = np.empty_like(z)
+    for row, c in zip(p, np.array(cos_t, dtype=y.dtype)):
+        row += np.multiply(z, c, out=term)
     return p
 
 
 def _signs(source: PairSource, draws, axes_a, axes_b) -> np.ndarray:
-    """The mask p >= 0 of a block's float64 :func:`_projections`, bit for
-    bit, decided for most pairs from float32 trig and projections.
+    """The mask p >= 0 of the float64 :func:`_projections` of ``draws``,
+    bit for bit, decided for most pairs from float32 trig and projections.
 
     An argument in [0, 2 pi) rounded to float32 moves by at most 2^-22,
     and NumPy's float32 sin and cos err by about 1.5 ulp, 1.5 * 2^-24, at
@@ -210,11 +214,78 @@ def _signs(source: PairSource, draws, axes_a, axes_b) -> np.ndarray:
 
 
 def _quarter_sums(disagree, n: int):
-    """(s, s2) tables of a +-1/2 model's block of ``n`` pairs from the
-    number of pairs whose outcomes disagree, per axis pair: each product is
-    -1/4 there and +1/4 elsewhere."""
+    """(s, s2) tables of a +-1/2 model's ``n`` pairs from the number of
+    pairs whose outcomes disagree, per axis pair: each product is -1/4
+    there and +1/4 elsewhere."""
     s = np.array([[0.25 * (n - 2 * k) for k in row] for row in disagree])
     return s, np.full(s.shape, n / 16)
+
+
+def role_sums(model, source, axes_a, axes_b, n: int, block_size: int, streams):
+    """Yields (s, s2) tables of ``n`` pairs in blocks of ``block_size``,
+    block i drawn from the i-th of ``streams``, whose running sum is the
+    block sums added in block order, bit for bit.  A chunk of as many whole
+    blocks as keep its (m_a + m_b) projections per pair within
+    _CHUNK_VALUES, and at least one, is measured at once: each block draws
+    its pairs, then StochasticSign's (m_a + m_b, size) flips, straight into
+    its slice of buffers that serve every chunk, and a pair's y, z and
+    signs depend on its own draws only."""
+    m = len(axes_a) + len(axes_b)
+    chunk = block_size * max(1, _CHUNK_VALUES // (block_size * m))
+    draws = np.empty((min(n, chunk), 2 if isinstance(model, EnsembleDep) else draw_width(source)))
+    flips = np.empty(m * len(draws)) if isinstance(model, StochasticSign) else None
+    for first in range(0, max(n, 1), chunk):  # n = 0 measures one empty block
+        size = min(chunk, n - first)
+        bounds = [0, *range(block_size, size, block_size), size]
+        for (start, stop), stream in zip(itertools.pairwise(bounds), streams):
+            stream.uniform((stop - start, draws.shape[1]), out=draws[start:stop])
+            if flips is not None:
+                stream.uniform((m, stop - start), out=flips[m * start:m * stop].reshape(m, -1))
+        yield from _chunk_sums(model, source, axes_a, axes_b, draws[:size], flips, bounds)
+
+
+def _chunk_sums(model, source, axes_a, axes_b, draws, flips, bounds):
+    """(s, s2) tables of one chunk of ``draws``, blocks between ``bounds``:
+    one per block for ``Direct``, which sums each block's own products, and
+    one for the chunk for the +-1/2 models, whose sums are multiples of
+    1/16 far below 2^51, exact in any grouping."""
+    m_a, n = len(axes_a), len(draws)
+    if isinstance(model, EnsembleDep):
+        # u2 is copied out of the draws: compares on a contiguous copy are
+        # cheaper than on the strided column, and there are 2 m_a m_b of them
+        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1].copy()
+        minus1 = ~plus1
+        # particle 2 occupies the opposite hemisphere about a_i, and reads
+        # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
+        disagree = [
+            [
+                np.count_nonzero(plus1 & (u2 >= 0.5 * (1.0 - c)))
+                + np.count_nonzero(minus1 & (u2 < 0.5 * (1.0 + c)))
+                for c in (math.cos(angle_delta(x.theta, y.theta)) for y in axes_b)
+            ]
+            for x in axes_a
+        ]
+        return [_quarter_sums(disagree, n)]
+    if isinstance(model, Direct):
+        y, z = pair_yz(source, draws, np.sin, np.cos)
+        p1, p2 = _projections(y, z, axes_a, []), _projections(y, z, [], axes_b)
+        blocks = list(itertools.pairwise(bounds))
+        s = np.empty((len(blocks), m_a, len(axes_b)))
+        s2 = np.empty_like(s)
+        for i in range(m_a):
+            prod = p1[i] * p2
+            for k, (start, stop) in enumerate(blocks):
+                s[k, i] = prod[:, start:stop].sum(axis=-1)
+            np.multiply(prod, prod, out=prod)
+            for k, (start, stop) in enumerate(blocks):
+                s2[k, i] = prod[:, start:stop].sum(axis=-1)
+        return list(zip(s, s2))
+    plus = _signs(source, draws, axes_a, axes_b)
+    if flips is not None:
+        m = len(plus)
+        for start, stop in itertools.pairwise(bounds):
+            _flip(plus[:, start:stop], flips[m * start:m * stop].reshape(m, -1), model.p_hi)
+    return [_quarter_sums([[np.count_nonzero(r != q) for q in plus[m_a:]] for r in plus[:m_a]], n)]
 
 
 def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, rng: RngStream):
@@ -224,20 +295,21 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     ``a`` and ``b`` are one Axis each, and the result is (o1, o2), the two
     (n,) outcome arrays; or they are sequences of m_a and m_b axes, and the
     result is (s, s2), the (m_a, m_b) tables of the block's sums of o1 o2 and
-    of (o1 o2)^2 for every axis pair.  All pairs of axes are measured on the
-    block's one set of draws, so entry (i, j) is bit for bit the sum of the
-    one-axis outcomes for (a_i, b_j), except for StochasticSign, which
-    draws its flips for every axis.
+    of (o1 o2)^2 for every axis pair: the one-block case of
+    :func:`role_sums`.  All pairs of axes are measured on the block's one
+    set of draws, so entry (i, j) is bit for bit the sum of the one-axis
+    outcomes for (a_i, b_j), except for StochasticSign, which draws its
+    flips for every axis.
 
-    A point-like block holds its (m_a + m_b) n projections as floats.
+    A point-like table holds its (m_a + m_b) n projections as floats.
     ``Direct`` multiplies them one a-axis at a time and sums the float
     products in pair order along a contiguous row.  The +-1/2 models keep
     their outcomes as boolean masks and multiply nothing: each product is
-    +-1/4, so every partial sum of a block is exact in any order, and the
-    sums are 1/4 (n - 2k) and n/16, k the pairs whose outcomes disagree.
-    Their tables read only signs, which :func:`_signs` screens in float32
-    and are the float64 signs bit for bit; ``Direct`` reads the values, so
-    it and the single-axis path project in float64.
+    +-1/4, so every partial sum is exact in any order, and the sums are
+    1/4 (n - 2k) and n/16, k the pairs whose outcomes disagree.  Their
+    tables read only signs, which :func:`_signs` screens in float32 and
+    are the float64 signs bit for bit; ``Direct`` reads the values, so it
+    and the single-axis path project in float64.
 
     Point-like models draw particle 1's in-plane components from the source
     and measure j1 and j2 = -j1 locally.  The ensemble detector instead
@@ -247,44 +319,14 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     in that branch: the emitted statistics of both sources coincide with
     the full-sphere ensemble.)
     """
-    single = isinstance(a, Axis)
-    axes_a, axes_b = ([a], [b]) if single else (a, b)
+    if not isinstance(a, Axis):
+        return next(role_sums(model, source, a, b, n, max(n, 1), [rng]))
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
-        # u2 is copied out of the draws: compares on a contiguous copy are
-        # cheaper than on the strided column, and there are 2 m_a m_b of them
-        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1].copy()
-        minus1 = ~plus1
-        # particle 2 occupies the opposite hemisphere about a_i, and reads
-        # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
-        cos_ab = [[math.cos(angle_delta(x.theta, y.theta)) for y in axes_b] for x in axes_a]
-        if single:
-            c = cos_ab[0][0]
-            plus2 = (plus1 & (u2 < 0.5 * (1.0 - c))) | (minus1 & (u2 < 0.5 * (1.0 + c)))
-            return np.subtract(plus1, 0.5), np.subtract(plus2, 0.5)
-        disagree = [
-            [
-                np.count_nonzero(plus1 & (u2 >= 0.5 * (1.0 - c)))
-                + np.count_nonzero(minus1 & (u2 < 0.5 * (1.0 + c)))
-                for c in row
-            ]
-            for row in cos_ab
-        ]
-        return _quarter_sums(disagree, n)
-    m_a = len(axes_a)
-    if single or isinstance(model, Direct):
-        y, z = sample_pair(source, rng, n)
-        p1, p2 = _projections(y, z, axes_a, []), _projections(y, z, [], axes_b)
-        if single:
-            return measure_pointlike(model, p1[0], rng), measure_pointlike(model, p2[0], rng)
-        s = np.empty((m_a, len(axes_b)))
-        s2 = np.empty_like(s)
-        for i in range(m_a):
-            prod = p1[i] * p2
-            s[i] = prod.sum(axis=-1)
-            s2[i] = np.multiply(prod, prod, out=prod).sum(axis=-1)
-        return s, s2
-    # one flip draw of shape (m_a + m_b, n) reads the bits of the draws of
-    # shapes (m_a, n) and (m_b, n) in turn
-    plus = _plus(model, _signs(source, pair_draws(source, rng, n), axes_a, axes_b), rng)
-    return _quarter_sums([[np.count_nonzero(r != q) for q in plus[m_a:]] for r in plus[:m_a]], n)
+        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1]
+        c = math.cos(angle_delta(a.theta, b.theta))
+        plus2 = (plus1 & (u2 < 0.5 * (1.0 - c))) | (~plus1 & (u2 < 0.5 * (1.0 + c)))
+        return np.subtract(plus1, 0.5), np.subtract(plus2, 0.5)
+    y, z = sample_pair(source, rng, n)
+    p1, p2 = _projections(y, z, [a], []), _projections(y, z, [], [b])
+    return measure_pointlike(model, p1[0], rng), measure_pointlike(model, p2[0], rng)

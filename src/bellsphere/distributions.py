@@ -168,11 +168,11 @@ class RotatingHemispheres:
 PairSource = StaticSphere | RotatingHemispheres
 
 
-def pair_draws(source: PairSource, rng: RngStream, n: int) -> np.ndarray:
-    """The ``n`` pairs' uniform draws, a row of 2 (sphere) or 4 (rotating) each."""
+def draw_width(source: PairSource) -> int:
+    """Uniform draws per pair, a row of :func:`pair_yz`'s ``draws``: 2 or 4."""
     if not isinstance(source, (StaticSphere, RotatingHemispheres)):
         raise TypeError(f"not a pair source: {source!r}")
-    return rng.uniform((n, 2 if isinstance(source, StaticSphere) else 4))
+    return 2 if isinstance(source, StaticSphere) else 4
 
 
 def pair_yz(source: PairSource, draws, sin, cos, index=slice(None)):
@@ -186,11 +186,9 @@ def pair_yz(source: PairSource, draws, sin, cos, index=slice(None)):
         r *= sin(az, out=az)
         return r, z
     beta = TWO_PI * draws[:, 0]
-    # side +-1 by arithmetic on the mask: no branch on random bits
-    side = (draws[:, 1] < 0.5) * 2.0
-    side -= 1.0
     zf = 1.0 - draws[:, 2]
-    zf *= side
+    # side +-1 by arithmetic on the mask: no branch on random bits
+    zf *= (draws[:, 1] < 0.5) * 2.0 - 1.0
     yf = TWO_PI * draws[:, 3]
     sin(yf, out=yf)
     yf *= _radius(zf)
@@ -212,4 +210,4 @@ def sample_pair(source: PairSource, rng: RngStream, n: int):
     y-z plane, so these two components are all a measurement of either
     particle reads.
     """
-    return pair_yz(source, pair_draws(source, rng, n), np.sin, np.cos)
+    return pair_yz(source, rng.uniform((n, draw_width(source))), np.sin, np.cos)

@@ -55,9 +55,10 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self, size):
-        """Uniform draws in [0, 1) as an array of shape ``size``."""
-        return self._gen.random(size)
+    def uniform(self, size, out=None):
+        """Uniform draws in [0, 1) as an array of shape ``size``, written
+        into ``out`` (C-contiguous, of that shape) when given: the same bits."""
+        return self._gen.random(size, out=out)
 
     def split(self, index: int) -> "RngStream":
         """Independent child stream for work unit ``index``.

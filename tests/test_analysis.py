@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bellsphere import (
     EnsembleDep,
     JointTable,
     RngStream,
+    RotatingHemispheres,
     Sign,
     StaticSphere,
     StochasticSign,
@@ -142,6 +144,44 @@ class TestLuneProbability:
             for kp in (-0.5, 0.5)
         )
         assert total == pytest.approx(e_closed(Sign(), 0.0, d), abs=1e-12)
+
+
+def traced_peak(measure):
+    """Peak traced memory of ``measure()`` in bytes, after one untraced call."""
+    measure()
+    tracemalloc.start()
+    try:
+        measure()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRoleMemory:
+    # the kernel measures a role a chunk at a time, so its peak is set by the
+    # chunk (or one block, when a block outgrows it), not by n
+
+    def test_a_one_axis_role_holds_one_chunk(self):
+        def peak(n):
+            return traced_peak(lambda: analysis._role_table(
+                Sign(), RotatingHemispheres(), [1.1], [2.3], n, RngStream(90), 4096
+            ))
+
+        small, large = peak(200_000), peak(2_000_000)
+        assert abs(large - small) <= 64 * 2**10
+        assert large < 1.5 * 2**20
+
+    def test_a_sweep_role_holds_one_block(self):
+        thetas = [i * math.pi / 16 for i in range(16)]
+
+        def peak(n):
+            return traced_peak(lambda: analysis._role_table(
+                Direct(), StaticSphere(), thetas, thetas, n, RngStream(91), 4096
+            ))
+
+        # the loop holds four (16, 16) tables from chunk to chunk: the running
+        # totals and the last partial sums; a second block would add 0.5 MiB
+        assert peak(5 * 4096 + 1000) <= peak(4096) + 16 * 2**10
 
 
 class TestEstimateCorrelation:

@@ -44,7 +44,7 @@ from bellsphere.analysis import (
     fine_feasible_many,
 )
 from bellsphere.cli import main
-from bellsphere.distributions import pair_draws, pair_yz
+from bellsphere.distributions import draw_width, pair_yz
 
 MODEL_NAMES = ("direct", "sign", "stochastic", "ensemble")
 SOURCE_NAMES = ("sphere", "rotating")
@@ -205,10 +205,21 @@ TABLES = {
 }
 
 
+# role tables add a 16 x 16 sweep role, and runs over several chunks of
+# blocks, most ending on a short last block: a chunk holds 32,768
+# projections, 16,384 pairs of a 1 x 1 table at block size 4096 and one
+# block of a 4 x 4 or 16 x 16 table; block size 1 is kept small
+ROLE_TABLES = {**TABLES, "16x16": ([i * math.pi / 16 for i in range(16)],) * 2}
+ROLE_RUNS = (
+    (1, 1), (9, 2), (5000, 777), (9001, 4096),
+    (40_000, 777), (40_000, 4096), (40_000, 65_536), (2_000, 1),
+)
+
+
 class TestKernelAgainstReference:
     @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_NAMES)
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_NAMES)
-    @pytest.mark.parametrize("n", [1, 2, 777, 4096])
+    @pytest.mark.parametrize("n", [0, 1, 2, 777, 4096])
     def test_block_sums_and_outcomes(self, model, source, n):
         for k, (thetas_a, thetas_b) in enumerate(TABLES.values()):
             axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
@@ -222,15 +233,30 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("source", SOURCES, ids=SOURCE_NAMES)
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_NAMES)
-    @pytest.mark.parametrize("table", TABLES, ids=list(TABLES))
+    @pytest.mark.parametrize("table", ROLE_TABLES, ids=list(ROLE_TABLES))
     def test_role_tables(self, model, source, table):
-        thetas_a, thetas_b = TABLES[table]
-        for n, block_size in ((1, 1), (9, 2), (5000, 777), (9001, 4096)):
+        thetas_a, thetas_b = ROLE_TABLES[table]
+        for n, block_size in ROLE_RUNS:
             got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(8, 3), block_size)
             want = reference_role_table(
                 model, source, thetas_a, thetas_b, n, RngStream(8, 3), block_size
             )
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (n, block_size)
+
+    @pytest.mark.parametrize("m_a, m_b", [(4, 4), (16, 16)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_projections_are_the_whole_array_formula(self, m_a, m_b, dtype):
+        # each row adds its z term through a row-sized scratch; the bits are
+        # those of the (m, n) temporary it replaces
+        gen = np.random.default_rng(21)
+        axes = [Axis(t) for t in gen.uniform(0.0, TWO_PI, size=m_a + m_b)]
+        y, z = (gen.uniform(-1.0, 1.0, size=4097).astype(dtype) for _ in range(2))
+        signs = [1.0] * m_a + [-1.0] * m_b
+        sin_t = np.array([[s * math.sin(t.theta)] for s, t in zip(signs, axes)], dtype=dtype)
+        cos_t = np.array([[s * math.cos(t.theta)] for s, t in zip(signs, axes)], dtype=dtype)
+        want = y * sin_t
+        want += z * cos_t
+        assert same_bits(detectors._projections(y, z, axes[:m_a], axes[m_a:]), want)
 
 
 # -- the +-1/2 models' float32 screen -------------------------------------------
@@ -268,7 +294,7 @@ class TestFloat32Screen:
         def float32(trig):
             return lambda x, out=None: trig(x.astype(np.float32), out=out)
 
-        draws = pair_draws(source, RngStream(19), 2**18)
+        draws = RngStream(19).uniform((2**18, draw_width(source)))
         y, z = pair_yz(source, draws, float32(np.sin), float32(np.cos))
         screened = detectors._projections(y.astype(np.float32), z.astype(np.float32), axes, [])
         exact = detectors._projections(*pair_yz(source, draws, np.sin, np.cos), axes, [])
