@@ -329,6 +329,7 @@ _FEASIBILITY_MATRIX = _feasibility_matrix()
 
 
 _NOT_FINITE = "correlations must be finite, not NaN or +-inf"
+_nnls = None  # scipy.optimize.nnls, bound on the first decision
 
 
 def _checked_marginals(width, finite, marginals) -> list[float]:
@@ -358,13 +359,29 @@ def _checked_marginals(width, finite, marginals) -> list[float]:
 
 
 def _decide(b_eq) -> tuple[bool, np.ndarray]:
-    """Nonnegative least squares on one right-hand side (1, correlations,
-    marginals); returns (largest row residual <= 1e-9, the solution)."""
-    # imported here: only this decision needs SciPy, and importing it is
-    # most of the package's start-up time
-    from scipy.optimize import nnls
+    """Nonnegative least squares on one right-hand side b = (1, correlations,
+    marginals); returns (largest row residual |A x - b| <= 1e-9, x).
 
-    x, _ = nnls(_FEASIBILITY_MATRIX, b_eq)
+    Most rows are settled from the residual 2-norm rnorm that ``nnls``
+    returns.  Its k <= 9 = rank A Householder steps on m = 13 rows are
+    backward stable: rnorm is ||(A + dA) x - (b + db)||_2, ||dA||_F <=
+    g ||A||_F, ||db||_2 <= g ||b||_2, g = c m k u for a small c, u = 2^-53
+    (Higham, Accuracy and Stability, 19.3, 20.3); a direct ||A x - b||_2
+    errs less.  ||A||_F = sqrt 84; x >= 0 and ||A x - b|| <= ||b|| give
+    ||x||_2 <= sum x = (A x)_0 <= 2 ||b||; ||b||_2 <= 2.3 for correlations
+    in [-1/4, 1/4].  So |rnorm - ||A x - b||_2| <= 20 g ||b|| < c 6e-13,
+    under 1e-10 for c < 150: rnorm <= 1e-10 puts max |r| <= ||r||_2 below
+    2e-10, rnorm >= 1e-8 puts max |r| >= ||r||_2 / sqrt 13 above 2.7e-9,
+    and the 16-term sums forming r err by under 2e-14.  Rows between are
+    decided from r."""
+    global _nnls
+    if _nnls is None:
+        # imported here: only this decision needs SciPy, and importing it is
+        # most of the package's start-up time
+        from scipy.optimize import nnls as _nnls
+    x, rnorm = _nnls(_FEASIBILITY_MATRIX, b_eq)
+    if rnorm <= 1e-10 or rnorm >= 1e-8:
+        return bool(rnorm <= 1e-10), x
     r = _FEASIBILITY_MATRIX @ x
     r -= b_eq
     # the ufunc's own reduce: r.max() adds a Python wrapper
@@ -389,7 +406,9 @@ def fine_feasible(
     marginals).  Nonnegative least squares returns the closest table
     with every entry >= 0; it is accepted when its largest row residual is
     at most 1e-9, the single tolerance of this decision, and returned as
-    the witness.  NaN or +-inf among the correlations raises ValueError.
+    the witness; most vectors are settled with the same outcome from the
+    residual 2-norm ``nnls`` returns (see ``_decide``).  NaN or +-inf
+    among the correlations raises ValueError.
     :func:`fine_feasible_many` makes the same decision for many vectors.
     """
     try:

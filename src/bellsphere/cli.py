@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -640,6 +641,8 @@ def _p_hi(text: str) -> float:
     return value
 
 
+# one parser per process; argparse finds sys.stdout and sys.stderr only as it writes
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bellsphere",
@@ -690,8 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, argparse.ArgumentTypeError, ValueError) as exc:

@@ -36,7 +36,8 @@ def quad_expectation(f) -> float:
     error falls off as the square of the grid spacing for smooth integrands:
     for f = z^2 it is exactly 1/(3 * 1024^2).  The nodes (r = sqrt(1 - u^2)
     per u, cos phi and sin phi per phi) reach f u-major, in 16 chunks of 64
-    whole u-rows, one chunk held at a time.
+    whole u-rows, one chunk held at a time, coordinate-major: ``f`` gets the
+    (m, 3) transpose of a (3, m) buffer whose x, y and z rows are contiguous.
 
     Each chunk's values are summed on their own; the 16 sums are then added
     in pairs, pairs of pairs and so on.  NumPy sums 2^20 contiguous values
@@ -48,15 +49,15 @@ def quad_expectation(f) -> float:
     phi = (np.arange(n) + 0.5) * (_TWO_PI / n)
     r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    points = np.empty((_QUAD_ROWS, n, 3))
+    points = np.empty((3, _QUAD_ROWS, n))
     values = np.empty(_QUAD_ROWS * n)
     sums = []
     for start in range(0, n, _QUAD_ROWS):
         rows = slice(start, start + _QUAD_ROWS)
-        np.multiply(r[rows], cos_phi, out=points[:, :, 0])
-        np.multiply(r[rows], sin_phi, out=points[:, :, 1])
-        points[:, :, 2] = u[rows, None]
-        values[:] = f(points.reshape(-1, 3))
+        np.multiply(r[rows], cos_phi, out=points[0])
+        np.multiply(r[rows], sin_phi, out=points[1])
+        points[2] = u[rows, None]
+        values[:] = f(points.reshape(3, -1).T)
         sums.append(np.add.reduce(values))
     while len(sums) > 1:  # 16 chunk sums: four rounds of pairs
         sums = [x + y for x, y in zip(sums[::2], sums[1::2])]

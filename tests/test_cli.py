@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -25,6 +27,7 @@ from bellsphere.cli import (
     _format_cell,
     _render,
     _sweep_chunks,
+    build_parser,
     main,
     parse_angle,
     run_verification,
@@ -239,6 +242,21 @@ class TestSeedRange:
 
 
 class TestChshAndSweep:
+    def test_one_parser_writes_to_the_streams_of_each_call(self):
+        # the parser is built on the first call and kept; help and usage
+        # errors still go to whatever sys.stdout and sys.stderr are then
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit) as help_exit:
+                    main(["sweep", "-h"])
+                with pytest.raises(SystemExit) as usage_exit:
+                    main(["sweep", "--model", "sign"])
+            assert (help_exit.value.code, usage_exit.value.code) == (0, 1)
+            assert out.getvalue().startswith("usage: bellsphere sweep")
+            assert "the following arguments are required: --step" in err.getvalue()
+        assert build_parser() is build_parser()
+
     def test_chsh_closed_maximal_violation(self):
         result = run_cli(
             "chsh", "--model", "ensemble", "--angles", "0,pi/4,pi/2,3pi/4",

@@ -447,7 +447,9 @@ def reference_inequalities_hold(correlations):
     return True
 
 
-def sign_boundary_maxima():
+def sign_boundary_maxima(
+    scales=(1 - 1e-7, 1 - 1e-8, 1 - 1e-10, 1.0, 1 + 1e-10, 1 + 1e-8, 1 + 1e-7),
+):
     # the sign model's C = 2 maxima on the pi/4 grid, pushed just inside and
     # just outside the boundary, beyond the 1e-9 residual tolerance
     grid = [i * math.pi / 4 for i in range(4)]
@@ -456,7 +458,7 @@ def sign_boundary_maxima():
             a, b, a_prime, b_prime = quad
             pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
             es = [e_closed(Sign(), ta, tb) for ta, tb in pairs]
-            for scale in (1 - 1e-7, 1 - 1e-8, 1 - 1e-10, 1.0, 1 + 1e-10, 1 + 1e-8, 1 + 1e-7):
+            for scale in scales:
                 yield [scale * e for e in es]
 
 
@@ -487,6 +489,62 @@ def test_fine_feasible_is_the_reference_decision():
             assert table is None
         decided.add(feasible)
     assert decided == {True, False}
+
+
+class TestResidualScreen:
+    """``_decide`` settles a vector from nnls's residual 2-norm when it is at
+    most 1e-10 or at least 1e-8, and from the explicit residual between."""
+
+    @staticmethod
+    def screen_cases():
+        # verify's cross-check vectors and the C = 2 maxima pushed by 1e-8
+        # and 1e-7 either way, all with marginals 1/2
+        for seed in (0, 5, 202):
+            yield from np.random.default_rng(seed + 99).uniform(-0.25, 0.25, size=(2000, 4))
+        yield from sign_boundary_maxima((1 - 1e-7, 1 - 1e-8, 1 + 1e-8, 1 + 1e-7))
+
+    def test_decisions_and_witnesses_are_the_explicit_residual_reference(self, monkeypatch):
+        from scipy.optimize import nnls
+
+        rnorms = []
+
+        def recording(a, b):
+            x, rnorm = nnls(a, b)
+            rnorms.append(rnorm)
+            return x, rnorm
+
+        monkeypatch.setattr(analysis, "_nnls", recording)
+        half = [0.5] * 8
+        cases = np.array(list(self.screen_cases()))
+        want = [reference_fine_feasible(es, half) for es in cases]
+        for es, (want_feasible, want_table) in zip(cases, want):
+            feasible, table = fine_feasible(es, half)
+            assert feasible is want_feasible, es
+            if feasible:
+                assert same_bits(table.probs, want_table.probs)
+            else:
+                assert table is None
+        assert fine_feasible_many(cases, half).tolist() == [w for w, _ in want]
+        assert {w for w, _ in want} == {True, False}
+        # every case went through the recording nnls, and the pushed maxima
+        # at 1 + 1e-8 land between the two bounds, on the explicit path
+        assert len(rnorms) == 2 * len(cases)
+        assert any(1e-10 < rnorm < 1e-8 for rnorm in rnorms)
+
+    def test_rnorm_is_the_explicit_norm_within_the_derived_bound(self):
+        # _decide's docstring bounds |rnorm - ||A x - b||_2| by 20 g ||b||,
+        # g = c m k u for m = 13 rows and k <= 9 steps; it holds here with
+        # c = 1, where the decision needs only c < 150
+        from scipy.optimize import nnls
+
+        gen = np.random.default_rng(20)
+        bound = 20 * 13 * 9 * 2.0**-53
+        for es, p in zip(gen.uniform(-0.25, 0.25, size=(10_000, 4)),
+                         gen.uniform(0.0, 1.0, size=(10_000, 4))):
+            b = np.array([1.0, *es, *itertools.chain(*((q, 1.0 - q) for q in p))])
+            x, rnorm = nnls(_FEASIBILITY_MATRIX, b)
+            explicit = float(np.linalg.norm(_FEASIBILITY_MATRIX @ x - b))
+            assert abs(rnorm - explicit) <= bound * float(np.linalg.norm(b)), (es, p)
 
 
 def threshold_sums(gen, count):
