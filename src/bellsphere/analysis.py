@@ -5,13 +5,15 @@ The two-particle expectation E(a, b) is estimated by block-wise Monte
 Carlo and compared against each model's closed form.  The CHSH combination
 C = (|E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|) / v_max^2 is bounded by 2
 for any model admitting a joint outcome distribution over all four axes;
-feasibility of such a joint table (Fine's criterion) is decided by
-nonnegative least squares over the 16 outcome atoms and cross-checked
-against the eight-inequality CHSH test.
+feasibility of such a joint table (Fine's criterion) is decided from the
+facets of the cone of the 16 outcome atoms, derived in NumPy from the
+feasibility equations, and cross-checked against the eight-inequality CHSH
+test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -329,68 +331,106 @@ _FEASIBILITY_MATRIX = _feasibility_matrix()
 
 
 _NOT_FINITE = "correlations must be finite, not NaN or +-inf"
-_nnls = None  # scipy.optimize.nnls, bound on the first decision
 
 
-def _checked_marginals(width, finite, marginals) -> list[float]:
-    """The one home of the feasibility decision's input checks.  ``width``
-    is the length of each correlation vector (``None`` when the
-    correlations do not have the entry point's shape), ``finite`` whether
-    every correlation is finite; returns the eight marginals as floats,
-    each in [0, 1] and summing to 1 per observable."""
-    try:
-        marginals = list(map(float, marginals))
-    except TypeError:  # nested: not eight numbers
-        marginals = []
-    if width != 4 or len(marginals) != 8:
+def _pulling(face, rank, atoms, facets) -> list[tuple[int, ...]]:
+    """A pulling triangulation of the cone over ``face``, a frozenset of atoms
+    of rank ``rank``: its first atom joined to the triangulation of each of
+    its facets that misses that atom, the intersections with the cone's
+    ``facets`` one rank lower."""
+    if len(face) == rank:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    subfaces = sorted({face & f for f in facets if apex not in f}, key=sorted)
+    return [
+        (apex, *simplex)
+        for sub in subfaces
+        if np.linalg.matrix_rank(atoms[:, sorted(sub)], tol=1e-9) == rank - 1
+        for simplex in _pulling(sub, rank - 1, atoms, facets)
+    ]
+
+
+@functools.cache
+def _cone():
+    """The cone of the 16 atoms, the columns of A = ``_FEASIBILITY_MATRIX``,
+    derived from A at the first decision: (G, simplices, P).
+
+    The atoms span 9 of A's 13 dimensions.  In an orthonormal basis of that
+    span, every 8 atoms of rank 8 fix a hyperplane, the last column of a
+    complete QR of those atoms, which holds a facet when no atom lies on its
+    far side.  Row g of G (24, 13) is a facet's unit normal n, in the span
+    and pointing in, times its largest entry |n|_inf (see :func:`_decide`).
+    ``simplices`` (64, 9) are the atoms of a pulling triangulation built
+    from the facets' atoms; P stacks their pseudo-inverses, (64 * 9, 13).
+    """
+    u, s, _ = np.linalg.svd(_FEASIBILITY_MATRIX)
+    basis = u[:, : np.count_nonzero(s > 1e-9 * s[0])]
+    atoms = basis.T @ _FEASIBILITY_MATRIX
+    subsets = np.array(list(itertools.combinations(range(16), len(atoms) - 1)))
+    q, r = np.linalg.qr(atoms.T[subsets].transpose(0, 2, 1), mode="complete")
+    normals = q[:, :, -1]
+    normals *= np.where(normals @ atoms.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+    values = normals @ atoms
+    rank8 = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-9
+    facet = rank8 & (values.min(axis=1) >= -1e-9)
+    tight, first = np.unique(np.abs(values[facet]) <= 1e-9, axis=0, return_index=True)
+    g = normals[facet][first] @ basis.T
+    g *= np.abs(g).max(axis=1, keepdims=True)
+    facets = [frozenset(np.flatnonzero(t).tolist()) for t in tight]
+    simplices = np.array(_pulling(frozenset(range(16)), len(atoms), atoms, facets))
+    pinv = np.linalg.pinv(_FEASIBILITY_MATRIX.T[simplices].transpose(0, 2, 1)).reshape(-1, 13)
+    for shared in (g, simplices, pinv):  # every caller gets these same arrays
+        shared.setflags(write=False)
+    return g, simplices, pinv
+
+
+def _decide(correlations, marginals, ndim) -> tuple[np.ndarray, np.ndarray]:
+    """The one input check and decision of the feasibility routes:
+    ``correlations`` has ``ndim`` dimensions, the last of length 4, and the
+    eight ``marginals`` lie in [0, 1] and sum to 1 per observable.  Returns
+    the (k, 13) right-hand sides b = (1, correlations, marginals) and their
+    (k,) decisions min(G b) >= -1e-9 over the facets G of :func:`_cone`.
+
+    This restates on the facets the rule of the nearest nonnegative table
+    (least squares over the atoms), accepted when its largest row residual
+    is at most 1e-9.  Split b = b_S + b_o, b_S in the atoms' span S:
+    - b_o is set by the pair sums alone, d_k = P(+) + P(-) - 1 of
+      observable k: it is sum m_k c_k with c_k = e_0 - e_k+ - e_k- and
+      m = (sum(d)/6 - d)/2, so its entries are at most 2/3 max |d_k|, under
+      2/3 1e-9 once the check below passes.  No table changes it and G,
+      lying in S, is blind to it, so it is not formed;
+    - when the point of the cone nearest b_S lies inside one facet, b_S's
+      residual is -(n . b) n, whose largest entry is |n . b| |n|_inf =
+      -(g . b): g . b >= -1e-9 is then the residual rule itself.  Near a
+      lower face, where several facets are violated, the two can differ
+      within the band only: a b with g . b < -1e-9 lies farther than
+      1e-9 / |n|_inf >= 1e-9 from the cone, so every table leaves a row
+      residual above 1e-9 / sqrt 13, while an accepted b_S has a table
+      within 2.55e-9 (the largest of one linear program per face).
+    """
+    es = np.asarray(correlations, dtype=float)
+    p = np.asarray(marginals, dtype=float)
+    if es.ndim != ndim or es.shape[-1:] != (4,) or p.shape != (8,):
         raise ValueError("need 4 correlations and 8 marginals")
-    if not finite:
+    if not np.isfinite(es).all():
         raise ValueError(_NOT_FINITE)
-    for p in marginals:
-        if not -1e-9 <= p <= 1.0 + 1e-9:
-            raise ValueError(f"marginal out of [0, 1]: {p!r}")
-    for obs_axis in range(4):
-        pair_sum = marginals[2 * obs_axis] + marginals[2 * obs_axis + 1]
-        if abs(pair_sum - 1.0) > 1e-9:
+    for value in p.tolist():
+        if not -1e-9 <= value <= 1.0 + 1e-9:
+            raise ValueError(f"marginal out of [0, 1]: {value!r}")
+    for obs_axis, (plus, minus) in enumerate(p.reshape(4, 2).tolist()):
+        if abs(plus + minus - 1.0) > 1e-9:
             raise ValueError(
-                f"marginals for observable {obs_axis} sum to {pair_sum!r}, not 1"
+                f"marginals for observable {obs_axis} sum to {plus + minus!r}, not 1"
             )
-    return marginals
+    b_eq = np.empty((es.size // 4, 13))
+    b_eq[:, 0] = 1.0
+    b_eq[:, 1:5] = es
+    b_eq[:, 5:] = p
+    # the ufunc's own reduce: min() adds a Python wrapper
+    return b_eq, np.minimum.reduce(b_eq @ _cone()[0].T, axis=1) >= -1e-9
 
 
-def _decide(b_eq) -> tuple[bool, np.ndarray]:
-    """Nonnegative least squares on one right-hand side b = (1, correlations,
-    marginals); returns (largest row residual |A x - b| <= 1e-9, x).
-
-    Most rows are settled from the residual 2-norm rnorm that ``nnls``
-    returns.  Its k <= 9 = rank A Householder steps on m = 13 rows are
-    backward stable: rnorm is ||(A + dA) x - (b + db)||_2, ||dA||_F <=
-    g ||A||_F, ||db||_2 <= g ||b||_2, g = c m k u for a small c, u = 2^-53
-    (Higham, Accuracy and Stability, 19.3, 20.3); a direct ||A x - b||_2
-    errs less.  ||A||_F = sqrt 84; x >= 0 and ||A x - b|| <= ||b|| give
-    ||x||_2 <= sum x = (A x)_0 <= 2 ||b||; ||b||_2 <= 2.3 for correlations
-    in [-1/4, 1/4].  So |rnorm - ||A x - b||_2| <= 20 g ||b|| < c 6e-13,
-    under 1e-10 for c < 150: rnorm <= 1e-10 puts max |r| <= ||r||_2 below
-    2e-10, rnorm >= 1e-8 puts max |r| >= ||r||_2 / sqrt 13 above 2.7e-9,
-    and the 16-term sums forming r err by under 2e-14.  Rows between are
-    decided from r."""
-    global _nnls
-    if _nnls is None:
-        # imported here: only this decision needs SciPy, and importing it is
-        # most of the package's start-up time
-        from scipy.optimize import nnls as _nnls
-    x, rnorm = _nnls(_FEASIBILITY_MATRIX, b_eq)
-    if rnorm <= 1e-10 or rnorm >= 1e-8:
-        return bool(rnorm <= 1e-10), x
-    r = _FEASIBILITY_MATRIX @ x
-    r -= b_eq
-    # the ufunc's own reduce: r.max() adds a Python wrapper
-    return float(np.maximum.reduce(np.abs(r, out=r))) <= 1e-9, x
-
-
-def fine_feasible(
-    correlations, marginals
-) -> tuple[bool, JointTable | None]:
+def fine_feasible(correlations, marginals) -> tuple[bool, JointTable | None]:
     """Decide whether a joint outcome table reproduces the four pairwise
     correlations and the eight single-outcome marginals.
 
@@ -401,54 +441,40 @@ def fine_feasible(
     P(X = -1/2)) per observable in the order (v_1a, v_1a', v_2b, v_2b').
     Feasibility asks for a nonnegative solution of the 13 equality rows
     over the 16 atoms (one normalization, four correlation and eight
-    marginal rows).  The rows form one read-only matrix built at
-    import; a call builds only the right-hand side (1, correlations,
-    marginals).  Nonnegative least squares returns the closest table
-    with every entry >= 0; it is accepted when its largest row residual is
-    at most 1e-9, the single tolerance of this decision, and returned as
-    the witness; most vectors are settled with the same outcome from the
-    residual 2-norm ``nnls`` returns (see ``_decide``).  NaN or +-inf
-    among the correlations raises ValueError.
-    :func:`fine_feasible_many` makes the same decision for many vectors.
+    marginal rows): b = (1, correlations, marginals) must lie in the atoms'
+    cone.  The decision is :func:`fine_feasible_many`'s on one row: no
+    facet of the cone, derived from the rows at the first decision, is
+    violated by more than the single tolerance 1e-9 (see ``_decide``).
+    The witness solves b on every simplex of the cone's triangulation and
+    keeps the one whose smallest coefficient is largest; coefficients still
+    negative, only for b in the band outside the cone, become 0.  NaN or
+    +-inf among the correlations raises ValueError.
     """
-    try:
-        correlations = list(map(float, correlations))
-    except TypeError:  # nested: not four numbers
-        correlations = []
-    marginals = _checked_marginals(
-        len(correlations), all(map(math.isfinite, correlations)), marginals
-    )
-    feasible, x = _decide(np.array([1.0, *correlations, *marginals]))
-    if not feasible:
+    b_eq, feasible = _decide(correlations, marginals, 1)
+    if not feasible[0]:
         return False, None
+    _, simplices, pinv = _cone()
+    xs = (pinv @ b_eq[0]).reshape(simplices.shape)
+    best = np.argmax(np.minimum.reduce(xs, axis=1))
+    x = np.zeros(16)
+    x[simplices[best]] = np.maximum(xs[best], 0.0)
     return True, JointTable(x.reshape(2, 2, 2, 2))
 
 
 def fine_feasible_many(correlations, marginals) -> np.ndarray:
     """:func:`fine_feasible`'s decision for each row of a (k, 4) array of
-    correlations under one set of eight marginals, as a (k,) bool array.
-
-    The inputs are checked once and the k right-hand sides built as one
-    (k, 13) array; each row is then solved on its own, exactly as
-    :func:`fine_feasible` solves it, so every decision is the same.  No
-    witness tables are kept.
+    correlations under one set of eight marginals, as a (k,) bool array:
+    the inputs are checked once and every row is decided by one product
+    with the cone's facets.  No witness tables are built.
     """
-    es = np.asarray(correlations, dtype=float)
-    marginals = _checked_marginals(
-        es.shape[1] if es.ndim == 2 else None, bool(np.isfinite(es).all()), marginals
-    )
-    b_eq = np.empty((len(es), 13))
-    b_eq[:, 0] = 1.0
-    b_eq[:, 1:5] = es
-    b_eq[:, 5:] = marginals
-    return np.array([_decide(b)[0] for b in b_eq], dtype=bool)
+    return _decide(correlations, marginals, 2)[1]
 
 
 def chsh_inequalities_hold(correlations):
     """Direct check of the eight CHSH sign variants on the +-1/2 outcome
     scale: |+-E_ab +- E_ab' +- E_a'b +- E_a'b'| <= 2 (1/2)^2 + 1e-9 for
-    every odd number of minus signs.  Independent of the least-squares route
-    on purpose.
+    every odd number of minus signs.  Independent of the facet route, whose
+    facets are derived rather than written out, on purpose.
 
     A vector (E_ab, E_ab', E_a'b, E_a'b') gives a bool; a (k, 4) array gives
     a (k,) bool array, one decision per row.  NaN or +-inf raises

@@ -62,7 +62,8 @@ def parse_angle(text: str) -> float:
 
     The fraction is evaluated first and multiplied by pi once, so grid
     angles like ``3pi/4`` land on exact multiples of the float pi.
-    Results are normalized into [0, 2 pi); ``nan`` and ``inf`` are rejected.
+    Results are normalized into [0, 2 pi) as :class:`Axis` normalizes them;
+    ``nan``, ``inf`` and an empty entry are rejected.
     """
     try:
         value = float(text)
@@ -78,14 +79,11 @@ def parse_angle(text: str) -> float:
         value = sign * (numerator / denominator) * math.pi
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
-    value %= TWO_PI
-    if value >= TWO_PI:
-        value -= TWO_PI
-    return value
+    return Axis(value).theta
 
 
 def parse_angle_list(text: str) -> list[float]:
-    return [parse_angle(part) for part in text.split(",") if part.strip()]
+    return [parse_angle(part) for part in text.split(",")]
 
 
 class _Parser(argparse.ArgumentParser):

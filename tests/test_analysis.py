@@ -519,6 +519,17 @@ class TestFineFeasible:
         assert matrix.flags.c_contiguous
         assert matrix.tobytes() == reference.tobytes()
 
+    def test_cone_facets_are_derived_from_the_atoms(self):
+        # 24 facets (16 positivity, 8 CHSH), none typed in: each holds every
+        # atom on its inner side and is tight on atoms of rank 8
+        facets, _, _ = analysis._cone()
+        values = facets @ analysis._FEASIBILITY_MATRIX
+        assert facets.shape == (24, 13)
+        assert values.min() >= -1e-12
+        for row in values:
+            tight = analysis._FEASIBILITY_MATRIX[:, np.abs(row) <= 1e-12]
+            assert np.linalg.matrix_rank(tight) == 8
+
     def test_constant_matrix_is_read_only(self):
         with pytest.raises(ValueError):
             analysis._FEASIBILITY_MATRIX[0, 0] = 2.0

@@ -273,7 +273,9 @@ class TestChshAndSweep:
         result = run_cli("chsh", "--model", "sign", "--angles", "0,pi/4")
         assert result.returncode == 1
 
-    @pytest.mark.parametrize("angles", ["0,0,0,inf", "0,0,0,foo"])
+    @pytest.mark.parametrize(
+        "angles", ["0,0,0,inf", "0,0,0,foo", "0,,pi/4,pi/2,3pi/4", "0,pi/4,pi/2,3pi/4,"]
+    )
     def test_chsh_bad_angle_is_usage_error(self, angles, capsys):
         assert main(["chsh", "--model", "sign", "--angles", angles]) == 1
         captured = capsys.readouterr()
@@ -499,9 +501,13 @@ class TestSequential:
         )
         assert "tree oracle=-0.125000" in result.stdout
 
-    def test_bad_axis_is_usage_error(self, capsys):
-        assert main(["sequential", "--axes", "0,foo"]) == 1
-        assert "cannot parse angle" in capsys.readouterr().err
+    @pytest.mark.parametrize("axes", ["0,foo", "0,,pi/3"])
+    def test_bad_axis_is_usage_error(self, axes, capsys):
+        # an empty entry is an error, not a dropped axis
+        assert main(["sequential", "--axes", axes]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bellsphere: error:" in captured.err and "cannot parse angle" in captured.err
 
     def test_single_trial_is_usage_error(self, capsys):
         # one outcome has no sample standard deviation
@@ -571,7 +577,7 @@ class TestVerify:
         assert code == 2
 
 
-_SCIPY_DEFERRAL_PROBE = """
+_NO_SCIPY_PROBE = """
 import contextlib, io, sys
 import bellsphere
 import bellsphere.cli
@@ -589,20 +595,21 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert bellsphere.cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, f"{argv[0]} loaded scipy"
+assert bellsphere.analysis._cone.cache_info().currsize == 0, "the cone was built unasked"
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = bellsphere.cli.main(["verify", "--feasibility-samples", "20"])
 assert code == 0 and "verification PASSED" in out.getvalue(), out.getvalue()
-assert "scipy.optimize" in sys.modules, "verify decided feasibility without scipy"
+assert "scipy" not in sys.modules, "verify loaded scipy"
 """
 
 
-def test_only_the_feasibility_decision_loads_scipy():
-    # importing scipy.optimize is most of a fresh start-up; every command
-    # but verify must run without it
+def test_no_command_loads_scipy():
+    # the feasibility decision is derived in NumPy: no command, verify
+    # included, imports scipy, and only a decision builds the cone
     env = dict(os.environ)
     env.pop("BELLSPHERE_SEED", None)
     result = subprocess.run(
-        [sys.executable, "-c", _SCIPY_DEFERRAL_PROBE],
+        [sys.executable, "-c", _NO_SCIPY_PROBE],
         capture_output=True,
         text=True,
         env=env,
