@@ -124,10 +124,11 @@ def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
     :meth:`RngStream.children`), every entry of the table reads the same
     draws, and block sums are added in block order, so the tables are
     bit-identical for a given (seed, stream_id, block_size).  The kernel
-    (:func:`detectors.role_sums`) takes blocks a chunk at a time.
+    (:func:`detectors.role_sums`) takes blocks a chunk at a time.  One pair
+    has no standard error, so ``n`` must be at least 2.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if n < 2:
+        raise ValueError("need n >= 2 trials for a standard error")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
@@ -135,10 +136,7 @@ def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
     for s, s2 in role_sums(model, source, axes_a, axes_b, n, block_size, rng.children()):
         total, total_sq = total + s, total_sq + s2
     e_hat = total / n
-    if n > 1:
-        variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
-    else:
-        variance = np.zeros_like(e_hat)
+    variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
     return e_hat, np.sqrt(variance / n)
 
 
@@ -151,7 +149,7 @@ def estimate_correlation(
     rng: RngStream,
     block_size: int = 4096,
 ) -> CorrelationRecord:
-    """Monte Carlo estimate of E(a, b) over ``n`` pair measurements, the 1 x 1
+    """Monte Carlo estimate of E(a, b) over ``n >= 2`` pair measurements, the 1 x 1
     role table: block i draws from the child stream ``rng.split(i)`` and
     block sums are added in block order (measured 16,384 pairs at a time by
     default), so the result is bit-identical for a given (seed, stream_id,
@@ -189,8 +187,6 @@ def _chsh_scan(model, axes, mode, n, rng, source, block_size):
     if mode == "montecarlo":
         if n is None or rng is None:
             raise ValueError("montecarlo mode needs n and rng")
-        if n < 2:
-            raise ValueError("montecarlo mode needs n >= 2 trials for a standard error")
         source = source if source is not None else StaticSphere()
         tables = [
             _role_table(model, source, xs, ys, n, rng.split(k), block_size)
@@ -331,6 +327,9 @@ _FEASIBILITY_MATRIX = _feasibility_matrix()
 
 
 _NOT_FINITE = "correlations must be finite, not NaN or +-inf"
+# 8-atom subsets per QR piece of _cone: the piece's (256, 9, 9) q and
+# (256, 9, 8) r take 0.3 MiB, its derivation peaks under 2 MiB
+_CONE_PIECE = 256
 
 
 def _pulling(face, rank, atoms, facets) -> list[tuple[int, ...]]:
@@ -358,23 +357,30 @@ def _cone():
     The atoms span 9 of A's 13 dimensions.  In an orthonormal basis of that
     span, every 8 atoms of rank 8 fix a hyperplane, the last column of a
     complete QR of those atoms, which holds a facet when no atom lies on its
-    far side.  Row g of G (24, 13) is a facet's unit normal n, in the span
-    and pointing in, times its largest entry |n|_inf (see :func:`_decide`).
+    far side.  The 12,870 subsets are streamed through the QR in pieces of
+    ``_CONE_PIECE``, each matrix factored on its own, so only a piece's
+    candidate facets outlive it and the derivation peaks under 2 MiB.  Row g
+    of G (24, 13) is a facet's unit normal n, in the span and pointing in,
+    times its largest entry |n|_inf (see :func:`_decide`).
     ``simplices`` (64, 9) are the atoms of a pulling triangulation built
     from the facets' atoms; P stacks their pseudo-inverses, (64 * 9, 13).
     """
     u, s, _ = np.linalg.svd(_FEASIBILITY_MATRIX)
     basis = u[:, : np.count_nonzero(s > 1e-9 * s[0])]
     atoms = basis.T @ _FEASIBILITY_MATRIX
-    subsets = np.array(list(itertools.combinations(range(16), len(atoms) - 1)))
-    q, r = np.linalg.qr(atoms.T[subsets].transpose(0, 2, 1), mode="complete")
-    normals = q[:, :, -1]
-    normals *= np.where(normals @ atoms.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
-    values = normals @ atoms
-    rank8 = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-9
-    facet = rank8 & (values.min(axis=1) >= -1e-9)
-    tight, first = np.unique(np.abs(values[facet]) <= 1e-9, axis=0, return_index=True)
-    g = normals[facet][first] @ basis.T
+    subsets = itertools.combinations(range(16), len(atoms) - 1)
+    candidates = []
+    while piece := list(itertools.islice(subsets, _CONE_PIECE)):
+        q, r = np.linalg.qr(atoms.T[np.array(piece)].transpose(0, 2, 1), mode="complete")
+        normals = q[:, :, -1]
+        normals *= np.where(normals @ atoms.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        values = normals @ atoms
+        rank8 = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-9
+        facet = rank8 & (values.min(axis=1) >= -1e-9)
+        candidates.append((normals[facet], values[facet]))
+    normals, values = (np.concatenate(parts) for parts in zip(*candidates))
+    tight, first = np.unique(np.abs(values) <= 1e-9, axis=0, return_index=True)
+    g = normals[first] @ basis.T
     g *= np.abs(g).max(axis=1, keepdims=True)
     facets = [frozenset(np.flatnonzero(t).tolist()) for t in tight]
     simplices = np.array(_pulling(frozenset(range(16)), len(atoms), atoms, facets))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsphere import analysis
+from bellsphere import analysis, cli
 from bellsphere import (
     Axis,
     Direct,
@@ -184,6 +184,22 @@ class TestRoleMemory:
         assert peak(5 * 4096 + 1000) <= peak(4096) + 16 * 2**10
 
 
+class TestConeMemory:
+    # the cone's 12,870 8-atom subsets go through the QR in pieces; taken in
+    # one batch they peaked at 31 MiB, the most of any stage of verify
+
+    def test_derivation_holds_one_piece(self):
+        assert traced_peak(analysis._cone.__wrapped__) <= 2 * 2**20
+
+    def test_verify_stays_within_the_quadrature_bound(self, capsys):
+        def verify():
+            analysis._cone.cache_clear()
+            assert cli.run_verification(0)
+
+        # the sphere quadrature's one-chunk bound of tests/test_oracles.py
+        assert traced_peak(verify) <= 4 * 2**20
+
+
 class TestEstimateCorrelation:
     def test_direct_at_sixty_degrees(self):
         record = estimate_correlation(
@@ -209,7 +225,7 @@ class TestEstimateCorrelation:
         assert abs(record.z_score) <= 5.0
 
     @settings(max_examples=40, deadline=None)
-    @given(MODELS, st.integers(1, 3000), st.integers(1, 700), st.integers(0, 2**32))
+    @given(MODELS, st.integers(2, 3000), st.integers(1, 700), st.integers(0, 2**32))
     def test_blocks_reduce_in_order(self, model, n, block_size, seed):
         # block i of the estimate is measure_pair_batch on rng.split(i), and
         # the block sums are added in block order
@@ -224,7 +240,7 @@ class TestEstimateCorrelation:
             total += float(prod.sum())
             total_sq += float((prod * prod).sum())
         e_hat = total / n
-        variance = max(total_sq - n * e_hat * e_hat, 0.0) / (n - 1) if n > 1 else 0.0
+        variance = max(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
         record = estimate_correlation(
             model, StaticSphere(), 0.1, 0.9, n, RngStream(seed), block_size
         )

@@ -147,14 +147,10 @@ class TestCorrelate:
         assert exc.value.code == 1
         assert "finite" in capsys.readouterr().err
 
-    def test_json_writes_non_finite_as_null(self, capsys):
-        # one trial: std_err is 0 while e_hat != e_closed, so z is infinite
-        code = main(
-            ["correlate", "--model", "stochastic", "--theta-a", "0", "--theta-b", "0",
-             "--trials", "1", "--format", "json"]
-        )
-        assert code == 0
-        payload = strict_json(capsys.readouterr().out)
+    def test_json_writes_non_finite_as_null(self):
+        # a std_err of 0 while e_hat != e_closed makes z infinite
+        row = ["stochastic", 0.0, 0.0, 2, -0.25, 0.0, -0.0625, math.inf]
+        payload = strict_json(_render(CORRELATION_COLUMNS, [row], "json"))
         assert payload[0]["std_err"] == 0.0
         assert payload[0]["z_score"] is None
 
@@ -357,13 +353,15 @@ class TestChshAndSweep:
         assert result.returncode == 1
 
     @pytest.mark.parametrize("command", [
-        ["chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--seed", "1"],
-        ["sweep", "--step", "pi/4"],
+        ["chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--seed", "1", "--mode", "montecarlo"],
+        ["sweep", "--step", "pi/4", "--mode", "montecarlo"],
+        ["correlate", "--theta-a", "0", "--theta-b", "0"],
     ])
     def test_single_trial_monte_carlo_is_usage_error(self, command, capsys):
-        # one trial per correlation has no standard error, so no violation
-        # can be judged (a point-like model used to read C = 4, violated)
-        code = main([*command, "--model", "sign", "--mode", "montecarlo", "--trials", "1"])
+        # one trial per correlation has no standard error, so neither a z
+        # score (correlate used to write null) nor a violation can be judged
+        # (a point-like model used to read C = 4, violated)
+        code = main([*command, "--model", "sign", "--trials", "1"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""

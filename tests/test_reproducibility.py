@@ -7,8 +7,9 @@ reference kernel, restated here as the package first wrote it
 (``np.where`` outcomes, float product sums and a fresh ``rng.split(i)`` per
 block), pins ``measure_pair_batch`` and the role tables bit for bit; the
 draws, shares and feasibility decisions of ``verify``'s checks are pinned
-the same way against their first, one-batch forms, and the facet route's
-feasibility decisions against nonnegative least squares.  The +-1/2 models'
+the same way against their first, one-batch forms, as are the cone's
+facets, simplices and pseudo-inverses, and the facet route's feasibility
+decisions against nonnegative least squares.  The +-1/2 models'
 float32 screen is held to its error bound and to the reference through its
 float64 fallback.
 """
@@ -185,10 +186,7 @@ def reference_role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
         )
         total, total_sq = total + s, total_sq + s2
     e_hat = total / n
-    if n > 1:
-        variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
-    else:
-        variance = np.zeros_like(e_hat)
+    variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
     return e_hat, np.sqrt(variance / n)
 
 
@@ -210,7 +208,7 @@ TABLES = {
 # block of a 4 x 4 or 16 x 16 table; block size 1 is kept small
 ROLE_TABLES = {**TABLES, "16x16": ([i * math.pi / 16 for i in range(16)],) * 2}
 ROLE_RUNS = (
-    (1, 1), (9, 2), (5000, 777), (9001, 4096),
+    (2, 1), (9, 2), (5000, 777), (9001, 4096),
     (40_000, 777), (40_000, 4096), (40_000, 65_536), (2_000, 1),
 )
 
@@ -308,7 +306,7 @@ class TestFloat32Screen:
         monkeypatch.setattr(detectors, "_DOUBT", math.inf)
         recomputed = recording_pair_yz(monkeypatch)
         thetas_a, thetas_b = TABLES[table]
-        for n in (1, 777, 4096):
+        for n in (2, 777, 4096):
             recomputed.clear()
             got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(9, n), 1000)
             want = reference_role_table(
@@ -619,3 +617,32 @@ def test_one_vector_and_empty_batches():
     for decided in (fine_feasible_many(np.empty((0, 4)), half),
                     chsh_inequalities_hold(np.empty((0, 4)))):
         assert decided.dtype == bool and decided.shape == (0,)
+
+
+def reference_cone():
+    # the derivation as first written: one batched complete QR over all
+    # 12,870 8-atom subsets at once
+    u, s, _ = np.linalg.svd(_FEASIBILITY_MATRIX)
+    basis = u[:, : np.count_nonzero(s > 1e-9 * s[0])]
+    atoms = basis.T @ _FEASIBILITY_MATRIX
+    subsets = np.array(list(itertools.combinations(range(16), len(atoms) - 1)))
+    q, r = np.linalg.qr(atoms.T[subsets].transpose(0, 2, 1), mode="complete")
+    normals = q[:, :, -1]
+    normals *= np.where(normals @ atoms.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+    values = normals @ atoms
+    rank8 = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-9
+    facet = rank8 & (values.min(axis=1) >= -1e-9)
+    tight, first = np.unique(np.abs(values[facet]) <= 1e-9, axis=0, return_index=True)
+    g = normals[facet][first] @ basis.T
+    g *= np.abs(g).max(axis=1, keepdims=True)
+    facets = [frozenset(np.flatnonzero(t).tolist()) for t in tight]
+    simplices = np.array(analysis._pulling(frozenset(range(16)), len(atoms), atoms, facets))
+    pinv = np.linalg.pinv(_FEASIBILITY_MATRIX.T[simplices].transpose(0, 2, 1)).reshape(-1, 13)
+    return g, simplices, pinv
+
+
+def test_cone_is_the_one_batch_derivation():
+    # the subsets go through the QR a piece at a time, each matrix factored
+    # on its own, so the facets, simplices and pseudo-inverses keep every bit
+    for got, want in zip(analysis._cone(), reference_cone()):
+        assert same_bits(got, want)
