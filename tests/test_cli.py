@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -484,7 +485,36 @@ class TestSweepRendering:
         self.assert_same_text(self.rendered("direct", table, fmt), self.reference("direct", table, fmt))
 
 
+# sequential runs whose exact step means are all nonzero, so no printed
+# oracle value is a zero whose sign rests on rounding: the README demo, its
+# reverse, a minus hemisphere off the axes, and 20 steps on the pi/8 grid
+SEQUENTIAL_RUNS = (
+    ["sequential", "--axes", "0,pi/3,2pi/3", "--seed", "3"],
+    ["sequential", "--axes", "2pi/3,pi/3", "--seed", "3", "--trials", "20000"],
+    [
+        "sequential", "--initial-axis", "pi/5", "--initial-sign", "-1",
+        "--axes", "0.3,1.1,2,pi/7,4,5.5,-1", "--seed", "9", "--trials", "30000",
+    ],
+    [
+        "sequential", "--axes",
+        ",".join(f"{k}pi/8" for k in (1, 2, 1, 0, 15, 13, 14, 0, 1, 3, 2, 4, 3, 2, 1, 0, 1, 2, 3, 4)),
+        "--seed", "21", "--trials", "5000",
+    ],
+)
+
+# SHA-256 over every sequential run's argv and its whole stdout
+SEQUENTIAL_DIGEST = "4e0aa2ebc17564964f385728b569e8a5f3a5e9c26c1929f9833a9e6c18dc6b1a"
+
+
 class TestSequential:
+    def test_golden_stdout(self, capsys):
+        digest = hashlib.sha256()
+        for argv in SEQUENTIAL_RUNS:
+            assert main(argv) == 0
+            digest.update(" ".join(argv).encode() + b"\n")
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == SEQUENTIAL_DIGEST
+
     def test_demo_matches_tree_oracle(self):
         result = run_cli(
             "sequential", "--axes", "0,pi/3,2pi/3", "--seed", "3", "--trials", "20000"
