@@ -63,7 +63,7 @@ from .oracles import (
     enumerate_ensemble_E,
     enumerate_pointlike_E,
     quad_expectation,
-    sequence_tree_mean,
+    sequence_means,
 )
 
 __version__ = "0.1.0"
@@ -110,8 +110,8 @@ __all__ = [
     "quad_ring_mean_projection",
     "sample_pair",
     "sample_sphere",
+    "sequence_means",
     "sequence_outcomes",
-    "sequence_tree_mean",
     "stochastic_sign_alt_form",
     "sweep_chsh",
     "v_max",

@@ -285,30 +285,22 @@ def _projection_deltas(pre, axis: Axis):
 def cmd_sequential(args) -> int:
     seed = _resolve_seed(args.seed)
     axes = [Axis(t) for t in parse_angle_list(args.axes)]
-    if not axes:
-        raise _UsageError("--axes needs at least one angle")
     if args.trials < 2:
         raise _UsageError("--trials must be at least 2 for a standard error")
     if args.initial == "sphere":
         e0 = distributions.FullSphere()
     else:
         e0 = distributions.Hemisphere(Axis(args.initial_axis), args.initial_sign)
-    # first, so that a sequence beyond the oracle's depth cap fails before
-    # any output
-    tree_final = oracles.sequence_tree_mean(e0, axes)
-    outcomes = detectors.sequence_outcomes(e0, axes, args.trials, RngStream(seed))
+    tree_means = oracles.sequence_means(e0, axes)
+    steps = detectors.sequence_outcomes(e0, axes, args.trials, RngStream(seed))
 
     print("sequential ensemble measurements")
     print(f"initial ensemble : {_ensemble_label(e0)}")
     print(f"axes             : {', '.join(f'{a.theta:.6f}' for a in axes)}")
     print(f"trials={args.trials} seed={seed}")
-    for i, axis in enumerate(axes):
-        freq_plus = float(np.mean(outcomes[i] > 0))
-        mc_mean = float(np.mean(outcomes[i]))
-        if i < len(axes) - 1:
-            tree_mean = oracles.sequence_tree_mean(e0, axes[: i + 1])
-        else:
-            tree_mean = tree_final
+    for i, (axis, outcomes, tree_mean) in enumerate(zip(axes, steps, tree_means)):
+        freq_plus = float(np.mean(outcomes > 0))
+        mc_mean = float(np.mean(outcomes))
         print(f"step {i + 1}: axis theta={axis.theta:.6f}")
         print(
             f"  mc P(+1/2)={freq_plus:.6f}  mc mean={mc_mean:+.6f}  "
@@ -325,11 +317,11 @@ def cmd_sequential(args) -> int:
                 f"    outcome {outcome:+.1f}: post={_ensemble_label(post)}  "
                 f"delta<J>(post-pre)={own:+.6f}  alt(-2kP)={alt:+.6f}"
             )
-    final_mean = float(np.mean(outcomes[-1]))
-    final_err = float(np.std(outcomes[-1], ddof=1) / math.sqrt(args.trials))
+    # the loop leaves the last step's outcomes and means behind
+    final_err = float(np.std(outcomes, ddof=1) / math.sqrt(args.trials))
     print(
-        f"final outcome: mc mean={final_mean:+.6f} +- {final_err:.6f}, "
-        f"tree oracle={tree_final:+.6f}"
+        f"final outcome: mc mean={mc_mean:+.6f} +- {final_err:.6f}, "
+        f"tree oracle={tree_mean:+.6f}"
     )
     return EXIT_OK
 
@@ -630,13 +622,15 @@ def _block_size(text: str) -> int:
 
 
 def _p_hi(text: str) -> float:
+    # StochasticSign holds the range; a non-number reaches it as nan
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0.5 <= value <= 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"p_hi must lie in [1/2, 1], got {text!r}")
-    return value
+    try:
+        return detectors.StochasticSign(value).p_hi
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (from {text!r})") from None
 
 
 # one parser per process; argparse finds sys.stdout and sys.stderr only as it writes

@@ -144,30 +144,26 @@ def projection_delta_alt_form(pre: Ensemble, axis: Axis, outcome: float) -> floa
     return -2.0 * outcome * p_k
 
 
-def sequence_outcomes(
-    e0: Ensemble, axes, n: int, rng: RngStream
-) -> np.ndarray:
-    """Vectorized ensemble-measurement sequences: (len(axes), n) outcomes.
+def sequence_outcomes(e0: Ensemble, axes, n: int, rng: RngStream):
+    """Vectorized ensemble-measurement sequences: yields each step's (n,)
+    outcomes in turn, drawing a step's n uniforms only as it is reached.
 
     Exploits that after the first measurement every trial's ensemble is a
     hemisphere about the current axis, so the per-trial state reduces to a
-    sign.  Row i holds the n outcomes of step i.
+    sign.
     """
-    axes = list(axes)
-    out = np.empty((len(axes), n))
     if isinstance(e0, Hemisphere):
         cur_theta, signs = e0.axis.theta, np.full(n, float(e0.sign))
     else:
-        cur_theta, signs = None, np.zeros(n)
-    for i, axis in enumerate(axes):
+        cur_theta, signs = None, None
+    for axis in axes:
         if cur_theta is None:
             p_plus = np.full(n, 0.5)
         else:
             p_plus = 0.5 * (1.0 + signs * math.cos(angle_delta(cur_theta, axis.theta)))
         signs = np.where(rng.uniform(n) < p_plus, 1.0, -1.0)
-        out[i] = 0.5 * signs
+        yield 0.5 * signs
         cur_theta = axis.theta
-    return out
 
 
 def _projections(y, z, axes_a, axes_b) -> np.ndarray:

@@ -19,7 +19,6 @@ from .detectors import DetectorModel, Sign, StochasticSign
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 1024  # midpoint nodes per axis of the sphere quadrature grid
 _QUAD_ROWS = 64  # u-rows per chunk: 16 chunks of 65,536 nodes
-_TREE_MAX_DEPTH = 20
 
 
 def _reduced(delta: float) -> float:
@@ -117,41 +116,32 @@ def enumerate_ensemble_E(delta: float) -> float:
     return expectation
 
 
-def sequence_tree_mean(e0: Ensemble, axes) -> float:
-    """Exact expected final outcome of an ensemble-measurement sequence,
-    by full enumeration of the 2^n outcome branches, for n of 1 to 20 axes.
+def sequence_means(e0: Ensemble, axes) -> list[float]:
+    """Exact expected outcome of every step of an ensemble-measurement
+    sequence, by enumeration over merged outcome states.
 
     The branch probabilities restate the measurement law locally: from a
     hemisphere of sign s about theta0, measuring theta gives +1/2 with
     probability (1 + s cos(theta - theta0)) / 2 and leaves a hemisphere of
-    the outcome's sign about theta.
+    the outcome's sign about theta.  So after each step every branch sits on
+    that step's axis with one of two signs: the 2^i branches at depth i
+    merge into two states, weighted P(+1/2) and 1 - P(+1/2), and one pass
+    over the axes carries that weight from step to step.
     """
     axes = list(axes)
     if not axes:
         raise ValueError("need at least one axis")
-    if len(axes) > _TREE_MAX_DEPTH:
-        raise ValueError(f"sequence depth {len(axes)} exceeds cap {_TREE_MAX_DEPTH}")
     if isinstance(e0, Hemisphere):
-        state = (e0.axis.theta, float(e0.sign))
+        theta0, p_plus = e0.axis.theta, 1.0 if e0.sign > 0 else 0.0
     elif isinstance(e0, FullSphere):
-        state = None
+        theta0, p_plus = None, 0.5
     else:
         raise TypeError(f"not an ensemble: {e0!r}")
-
-    def walk(state, remaining) -> float:
-        theta = remaining[0].theta
-        if state is None:
-            p_plus = 0.5
-        else:
-            theta0, s = state
-            p_plus = 0.5 * (1.0 + s * math.cos(theta - theta0))
-        total = 0.0
-        for outcome, p_branch in ((0.5, p_plus), (-0.5, 1.0 - p_plus)):
-            if len(remaining) == 1:
-                total += p_branch * outcome
-            else:
-                next_state = (theta, 1.0 if outcome > 0 else -1.0)
-                total += p_branch * walk(next_state, remaining[1:])
-        return total
-
-    return walk(state, axes)
+    means = []
+    for axis in axes:
+        if theta0 is not None:
+            keep = 0.5 * (1.0 + math.cos(axis.theta - theta0))  # P(the sign stays)
+            p_plus = p_plus * keep + (1.0 - p_plus) * (1.0 - keep)
+        means.append(p_plus - 0.5)
+        theta0 = axis.theta
+    return means

@@ -37,8 +37,8 @@ from bellsphere import (
     outcome_probabilities,
     quad_density_normalization,
     quad_ring_mean_projection,
+    sequence_means,
     sequence_outcomes,
-    sequence_tree_mean,
     stochastic_sign_alt_form,
     sweep_chsh,
 )
@@ -136,7 +136,7 @@ def test_criterion_05_outcome_mean_preserves_projection():
         mean = ensemble_mean_projection(ensemble, axis)
         p_plus, p_minus = outcome_probabilities(ensemble, axis)
         assert abs(0.5 * p_plus - 0.5 * p_minus - mean) <= 1e-12
-        outcomes = sequence_outcomes(ensemble, [axis], n, RngStream(106).split(i))[0]
+        (outcomes,) = sequence_outcomes(ensemble, [axis], n, RngStream(106).split(i))
         se = float(np.std(outcomes, ddof=1)) / math.sqrt(n) or 1e-12
         assert abs(float(np.mean(outcomes)) - mean) <= 5.0 * se
     _passed(5, "outcome average equals ensemble mean projection (20 random pairs)")
@@ -149,12 +149,12 @@ def test_criterion_06_sequential_measurements_do_not_commute():
     n = 400_000
     means = {}
     for name, axes, seed in (("fwd", forward, 107), ("rev", reverse, 108)):
-        finals = sequence_outcomes(e0, axes, n, RngStream(seed))[-1]
-        tree = sequence_tree_mean(e0, axes)
+        *_, finals = sequence_outcomes(e0, axes, n, RngStream(seed))
+        tree = sequence_means(e0, axes)[-1]
         se = float(np.std(finals, ddof=1)) / math.sqrt(n)
         assert abs(float(np.mean(finals)) - tree) <= 5.0 * se
         means[name] = (float(np.mean(finals)), se)
-    assert sequence_tree_mean(e0, forward) - sequence_tree_mean(e0, reverse) == (
+    assert sequence_means(e0, forward)[-1] - sequence_means(e0, reverse)[-1] == (
         pytest.approx(0.25, abs=1e-12)
     )
     gap = means["fwd"][0] - means["rev"][0]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,7 +530,7 @@ class TestSequential:
         )
         assert "tree oracle=-0.125000" in result.stdout
 
-    @pytest.mark.parametrize("axes", ["0,foo", "0,,pi/3"])
+    @pytest.mark.parametrize("axes", ["0,foo", "0,,pi/3", ""])
     def test_bad_axis_is_usage_error(self, axes, capsys):
         # an empty entry is an error, not a dropped axis
         assert main(["sequential", "--axes", axes]) == 1
@@ -544,12 +545,27 @@ class TestSequential:
         assert captured.out == ""
         assert "--trials must be at least 2" in captured.err
 
-    def test_sequence_beyond_oracle_depth_fails_before_output(self, capsys):
-        axes = ",".join(f"{i / 10}" for i in range(21))
-        assert main(["sequential", "--axes", axes, "--trials", "100"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "sequence depth 21 exceeds cap 20" in captured.err
+    def test_long_sequence_runs(self, capsys):
+        axes = ",".join(f"{i / 10}" for i in range(64))
+        assert main(["sequential", "--axes", axes, "--trials", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "step 64: axis theta=" in out
+        assert "final outcome:" in out
+
+    def test_peak_memory_does_not_grow_with_steps(self, capsys):
+        # one step's outcomes are held at a time: at 1M trials, 200 steps
+        # peak within 1 MiB of 20
+        def peak(steps):
+            axes = ",".join(f"{i / 10}" for i in range(steps))
+            tracemalloc.start()
+            try:
+                assert main(["sequential", "--axes", axes, "--trials", "1000000"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        assert abs(peak(200) - peak(20)) <= 2**20
 
     def test_repeated_axis_outcomes_certain(self):
         result = run_cli(

@@ -15,6 +15,7 @@ from bellsphere import (
     Sign,
     StaticSphere,
     StochasticSign,
+    angle_delta,
     ensemble_mean_projection,
     measure_pair_batch,
     measure_pointlike,
@@ -120,25 +121,25 @@ class TestEnsembleMeasurement:
 
     def test_aligned_measurement_is_certain(self):
         a = Axis(0.8)
-        outcomes = sequence_outcomes(Hemisphere(a, 1), [a], 200, RngStream(43))
+        (outcomes,) = sequence_outcomes(Hemisphere(a, 1), [a], 200, RngStream(43))
         assert np.all(outcomes == 0.5)
 
     def test_branch_probability_at_sixty_degrees(self):
         e0 = Hemisphere(Axis(0.0), 1)
-        outcomes = sequence_outcomes(e0, [Axis(math.pi / 3)], 200_000, RngStream(44))
-        p_hat = float(np.mean(outcomes[0] > 0))
+        (outcomes,) = sequence_outcomes(e0, [Axis(math.pi / 3)], 200_000, RngStream(44))
+        p_hat = float(np.mean(outcomes > 0))
         assert abs(p_hat - 0.75) <= 5.0 * math.sqrt(0.75 * 0.25 / 200_000)
 
     def test_full_sphere_is_unbiased_for_any_axis(self):
-        outcomes = sequence_outcomes(FullSphere(), [Axis(2.1)], 200_000, RngStream(45))
-        p_hat = float(np.mean(outcomes[0] > 0))
+        (outcomes,) = sequence_outcomes(FullSphere(), [Axis(2.1)], 200_000, RngStream(45))
+        p_hat = float(np.mean(outcomes > 0))
         assert abs(p_hat - 0.5) <= 5.0 * math.sqrt(0.25 / 200_000)
 
     def test_repeatability(self):
         a = Axis(1.4)
-        outcomes = sequence_outcomes(FullSphere(), [a, a, a], 200, RngStream(46))
-        assert np.array_equal(outcomes[1], outcomes[0])
-        assert np.array_equal(outcomes[2], outcomes[0])
+        first, second, third = sequence_outcomes(FullSphere(), [a, a, a], 200, RngStream(46))
+        assert np.array_equal(second, first)
+        assert np.array_equal(third, first)
 
 
 class TestMeasureSequence:
@@ -147,8 +148,8 @@ class TestMeasureSequence:
         # pre mean is cos(pi/3)/2 = 1/4
         e0 = Hemisphere(Axis(0.0), 1)
         b = Axis(math.pi / 3)
-        outcomes = sequence_outcomes(e0, [b], 100, RngStream(48))
-        assert set(outcomes[0].tolist()) == {0.5, -0.5}
+        (outcomes,) = sequence_outcomes(e0, [b], 100, RngStream(48))
+        assert set(outcomes.tolist()) == {0.5, -0.5}
         # each outcome selects the hemisphere about b on its side
         pre_mean = ensemble_mean_projection(e0, b)
         assert ensemble_mean_projection(Hemisphere(b, 1), b) - pre_mean == pytest.approx(0.25)
@@ -160,24 +161,49 @@ class TestMeasureSequence:
         assert projection_delta_alt_form(e0, b, 0.5) == pytest.approx(-0.75)
         assert projection_delta_alt_form(e0, b, -0.5) == pytest.approx(0.25)
 
-    def test_sequence_means_match_tree_oracle(self):
-        from bellsphere import sequence_tree_mean
+    def test_sequence_means_match_oracle(self):
+        from bellsphere import sequence_means
 
         e0 = Hemisphere(Axis(0.0), 1)
-        axes = [Axis(math.pi / 3), Axis(2 * math.pi / 3)]
-        outcomes = sequence_outcomes(e0, axes, 300_000, RngStream(49))
-        assert sigma_bound(outcomes[-1], sequence_tree_mean(e0, axes)) <= 5.0
-        reverse = list(reversed(axes))
-        outcomes_r = sequence_outcomes(e0, reverse, 300_000, RngStream(50))
-        assert sigma_bound(outcomes_r[-1], sequence_tree_mean(e0, reverse)) <= 5.0
+        for axes, seed in (([Axis(math.pi / 3), Axis(2 * math.pi / 3)], 49),
+                           ([Axis(2 * math.pi / 3), Axis(math.pi / 3)], 50)):
+            steps = sequence_outcomes(e0, axes, 300_000, RngStream(seed))
+            for outcomes, mean in zip(steps, sequence_means(e0, axes), strict=True):
+                assert sigma_bound(outcomes, mean) <= 5.0
 
-    def test_scalar_sequence_agrees_with_tree(self):
-        from bellsphere import sequence_tree_mean
+    def test_scalar_sequence_agrees_with_oracle(self):
+        from bellsphere import sequence_means
 
         e0 = Hemisphere(Axis(0.2), -1)
         axes = [Axis(1.0), Axis(2.4)]
-        finals = sequence_outcomes(e0, axes, 20_000, RngStream(51))[-1]
-        assert sigma_bound(finals, sequence_tree_mean(e0, axes)) <= 5.0
+        *_, finals = sequence_outcomes(e0, axes, 20_000, RngStream(51))
+        assert sigma_bound(finals, sequence_means(e0, axes)[-1]) <= 5.0
+
+    @pytest.mark.parametrize("e0", [Hemisphere(Axis(0.3), -1), FullSphere()], ids=["minus", "sphere"])
+    def test_steps_match_reference_bit_for_bit(self, e0):
+        # the (steps, n) array the kernel once filled, restated: step i draws
+        # its n uniforms after step i - 1's, and keeps each trial's sign
+        # with probability (1 + cos(delta)) / 2 (1/2 from the full sphere)
+        axes = [Axis(t) for t in (0.3, 1.1, 1.1, 4.0, 2.5 * math.pi, 0.2)]
+        n = 1000
+        rng = RngStream(52)
+        reference = np.empty((len(axes), n))
+        if isinstance(e0, Hemisphere):
+            theta, signs = e0.axis.theta, np.full(n, float(e0.sign))
+        else:
+            theta = None
+        for i, axis in enumerate(axes):
+            if theta is None:
+                p_plus = np.full(n, 0.5)
+            else:
+                p_plus = 0.5 * (1.0 + signs * math.cos(angle_delta(theta, axis.theta)))
+            signs = np.where(rng.uniform(n) < p_plus, 1.0, -1.0)
+            reference[i] = 0.5 * signs
+            theta = axis.theta
+        steps = list(sequence_outcomes(e0, axes, n, RngStream(52)))
+        assert len(steps) == len(axes)
+        assert all(step.shape == (n,) for step in steps)
+        assert np.stack(steps).tobytes() == reference.tobytes()
 
 
 class TestMeasurePair:

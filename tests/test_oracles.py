@@ -16,8 +16,8 @@ from bellsphere import (
     enumerate_pointlike_E,
     project,
     quad_expectation,
+    sequence_means,
     sequence_outcomes,
-    sequence_tree_mean,
 )
 
 N = 1024  # quad_expectation's nodes per axis
@@ -155,32 +155,70 @@ class TestEnumerateEnsemble:
             )
 
 
-class TestSequenceTreeMean:
+def tree_mean(e0, axes):
+    # the 2^n outcome tree walked branch by branch: from a hemisphere of
+    # sign s about theta0, measuring theta gives +1/2 with probability
+    # (1 + s cos(theta - theta0)) / 2 and leaves the hemisphere of the
+    # outcome's sign about theta; the full sphere gives +1/2 with 1/2
+    def walk(state, remaining):
+        theta = remaining[0].theta
+        p_plus = 0.5 if state is None else 0.5 * (1.0 + state[1] * math.cos(theta - state[0]))
+        total = 0.0
+        for outcome, p_branch in ((0.5, p_plus), (-0.5, 1.0 - p_plus)):
+            if len(remaining) == 1:
+                total += p_branch * outcome
+            else:
+                total += p_branch * walk((theta, 2.0 * outcome), remaining[1:])
+        return total
+
+    state = (e0.axis.theta, float(e0.sign)) if isinstance(e0, Hemisphere) else None
+    return walk(state, list(axes))
+
+
+class TestSequenceMeans:
     def test_single_step(self):
         e0 = Hemisphere(Axis(0.0), 1)
-        assert sequence_tree_mean(e0, [Axis(math.pi / 3)]) == pytest.approx(0.25)
+        assert sequence_means(e0, [Axis(math.pi / 3)]) == [pytest.approx(0.25)]
 
     def test_two_steps(self):
         e0 = Hemisphere(Axis(0.0), 1)
         axes = [Axis(math.pi / 3), Axis(2 * math.pi / 3)]
-        assert sequence_tree_mean(e0, axes) == pytest.approx(1.0 / 8.0)
-        assert sequence_tree_mean(e0, list(reversed(axes))) == pytest.approx(-1.0 / 8.0)
+        assert sequence_means(e0, axes)[-1] == pytest.approx(1.0 / 8.0)
+        assert sequence_means(e0, list(reversed(axes)))[-1] == pytest.approx(-1.0 / 8.0)
 
     def test_repeated_axis_is_certain_at_any_depth(self):
         e0 = Hemisphere(Axis(0.4), 1)
-        assert sequence_tree_mean(e0, [Axis(0.4)] * 20) == pytest.approx(0.5)
+        assert sequence_means(e0, [Axis(0.4)] * 1000) == [0.5] * 1000
 
     def test_full_sphere_start(self):
-        assert sequence_tree_mean(FullSphere(), [Axis(1.0)]) == 0.0
-        assert sequence_tree_mean(FullSphere(), [Axis(1.0), Axis(2.0)]) == (
-            pytest.approx(0.0, abs=1e-15)
-        )
+        assert sequence_means(FullSphere(), [Axis(1.0)]) == [0.0]
+        assert sequence_means(FullSphere(), [Axis(1.0), Axis(2.0)]) == [
+            0.0, pytest.approx(0.0, abs=1e-15)
+        ]
 
-    def test_depth_cap(self):
+    def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            sequence_tree_mean(Hemisphere(Axis(0.0), 1), [Axis(0.0)] * 21)
-        with pytest.raises(ValueError):
-            sequence_tree_mean(Hemisphere(Axis(0.0), 1), [])
+            sequence_means(Hemisphere(Axis(0.0), 1), [])
+        with pytest.raises(TypeError):
+            sequence_means(Axis(0.0), [Axis(0.0)])
+
+    @pytest.mark.parametrize("e0", [
+        Hemisphere(Axis(0.0), 1), Hemisphere(Axis(math.pi / 5), -1), FullSphere()
+    ], ids=["plus", "minus", "sphere"])
+    @pytest.mark.parametrize("grid", [True, False], ids=["pi_8_grid", "random"])
+    def test_every_step_matches_the_full_tree(self, e0, grid):
+        # the merged states against every prefix of the 2^n tree, depths 1 to 12
+        gen = np.random.default_rng(17)
+        for depth in range(1, 13):
+            if grid:
+                thetas = gen.integers(0, 16, depth) * (math.pi / 8)
+            else:
+                thetas = gen.uniform(0, 2 * math.pi, depth)
+            axes = [Axis(float(t)) for t in thetas]
+            means = sequence_means(e0, axes)
+            assert len(means) == depth
+            for i, mean in enumerate(means):
+                assert abs(mean - tree_mean(e0, axes[: i + 1])) <= 1e-15
 
     def test_matches_monte_carlo_on_random_sequences(self):
         gen = np.random.default_rng(13)
@@ -192,7 +230,7 @@ class TestSequenceTreeMean:
             )
             depth = int(gen.integers(1, 5))
             axes = [Axis(float(t)) for t in gen.uniform(0, 2 * math.pi, depth)]
-            expected = sequence_tree_mean(e0, axes)
-            finals = sequence_outcomes(e0, axes, n, RngStream(90).split(i))[-1]
+            expected = sequence_means(e0, axes)[-1]
+            *_, finals = sequence_outcomes(e0, axes, n, RngStream(90).split(i))
             se = float(np.std(finals, ddof=1)) / math.sqrt(n)
             assert abs(float(np.mean(finals)) - expected) <= 5.0 * max(se, 1e-12)
