@@ -498,7 +498,9 @@ SEQUENTIAL_RUNS = (
     ],
     [
         "sequential", "--axes",
-        ",".join(f"{k}pi/8" for k in (1, 2, 1, 0, 15, 13, 14, 0, 1, 3, 2, 4, 3, 2, 1, 0, 1, 2, 3, 4)),
+        ",".join(
+            f"{k}pi/8" for k in (1, 2, 1, 0, 15, 13, 14, 0, 1, 3, 2, 4, 3, 2, 1, 0, 1, 2, 3, 4)
+        ),
         "--seed", "21", "--trials", "5000",
     ],
 )

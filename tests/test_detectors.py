@@ -179,11 +179,13 @@ class TestMeasureSequence:
         *_, finals = sequence_outcomes(e0, axes, 20_000, RngStream(51))
         assert sigma_bound(finals, sequence_means(e0, axes)[-1]) <= 5.0
 
-    @pytest.mark.parametrize("e0", [Hemisphere(Axis(0.3), -1), FullSphere()], ids=["minus", "sphere"])
+    @pytest.mark.parametrize(
+        "e0", [Hemisphere(Axis(0.3), -1), FullSphere()], ids=["minus", "sphere"]
+    )
     def test_steps_match_reference_bit_for_bit(self, e0):
-        # the (steps, n) array the kernel once filled, restated: step i draws
-        # its n uniforms after step i - 1's, and keeps each trial's sign
-        # with probability (1 + cos(delta)) / 2 (1/2 from the full sphere)
+        # the steps restated as one (steps, n) fill: step i draws its n
+        # uniforms after step i - 1's, and keeps each trial's sign with
+        # probability (1 + cos(delta)) / 2 (+1/2 with 1/2 from the full sphere)
         axes = [Axis(t) for t in (0.3, 1.1, 1.1, 4.0, 2.5 * math.pi, 0.2)]
         n = 1000
         rng = RngStream(52)
