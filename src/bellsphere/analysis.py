@@ -115,25 +115,23 @@ class ChshResult:
     c_std_err: float | None = None
 
 
-def _role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
+def _role_table(model, source, thetas_a, thetas_b, n, rng):
     """Monte Carlo (E, standard error) tables, each (m_a, m_b), over ``n``
     pairs measured along every axis pair of one role.
 
-    Trials are partitioned into fixed-size blocks; block i draws from the
+    Trials are partitioned into blocks of 4096 pairs; block i draws from the
     child stream ``rng.split(i)`` (one generator re-keyed per block, see
     :meth:`RngStream.children`), every entry of the table reads the same
     draws, and block sums are added in block order, so the tables are
-    bit-identical for a given (seed, stream_id, block_size).  The kernel
+    bit-identical for a given (seed, stream_id).  The kernel
     (:func:`detectors.role_sums`) takes blocks a chunk at a time.  One pair
     has no standard error, so ``n`` must be at least 2.
     """
     if n < 2:
         raise ValueError("need n >= 2 trials for a standard error")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
     axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
     total = total_sq = 0.0
-    for s, s2 in role_sums(model, source, axes_a, axes_b, n, block_size, rng.children()):
+    for s, s2 in role_sums(model, source, axes_a, axes_b, n, rng.children()):
         total, total_sq = total + s, total_sq + s2
     e_hat = total / n
     variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
@@ -147,14 +145,12 @@ def estimate_correlation(
     theta_b: float,
     n: int,
     rng: RngStream,
-    block_size: int = 4096,
 ) -> CorrelationRecord:
     """Monte Carlo estimate of E(a, b) over ``n >= 2`` pair measurements, the 1 x 1
     role table: block i draws from the child stream ``rng.split(i)`` and
-    block sums are added in block order (measured 16,384 pairs at a time by
-    default), so the result is bit-identical for a given (seed, stream_id,
-    block_size)."""
-    e_hat, std_err = _role_table(model, source, [theta_a], [theta_b], n, rng, block_size)
+    block sums are added in block order (measured 16,384 pairs at a time),
+    so the result is bit-identical for a given (seed, stream_id)."""
+    e_hat, std_err = _role_table(model, source, [theta_a], [theta_b], n, rng)
     return CorrelationRecord(
         model=model_name(model),
         theta_a=theta_a,
@@ -166,7 +162,7 @@ def estimate_correlation(
     )
 
 
-def _chsh_scan(model, axes, mode, n, rng, source, block_size):
+def _chsh_scan(model, axes, mode, n, rng, source):
     """CHSH at every quadruple of the angle lists ``axes = (a, b, a', b')``, each
     of length m; returns (first maximal :class:`ChshResult`, C values,
     violated flags), the arrays indexed by positions (i, j, k, l) in
@@ -189,7 +185,7 @@ def _chsh_scan(model, axes, mode, n, rng, source, block_size):
             raise ValueError("montecarlo mode needs n and rng")
         source = source if source is not None else StaticSphere()
         tables = [
-            _role_table(model, source, xs, ys, n, rng.split(k), block_size)
+            _role_table(model, source, xs, ys, n, rng.split(k))
             for k, (xs, ys) in enumerate(roles)
         ]
         es = np.array([e for e, _ in tables])
@@ -232,7 +228,6 @@ def chsh(
     n: int | None = None,
     rng: RngStream | None = None,
     source: PairSource | None = None,
-    block_size: int = 4096,
 ) -> ChshResult:
     """Evaluate the CHSH combination at angles (a, b, a', b'), the
     one-quadruple sweep: Monte Carlo role k (ab, ab', a'b, a'b') draws from
@@ -243,7 +238,7 @@ def chsh(
     correlations with ``n >= 2`` trials and flags one when C exceeds 2 by at
     least three propagated standard errors.
     """
-    return _chsh_scan(model, [[t] for t in angles], mode, n, rng, source, block_size)[0]
+    return _chsh_scan(model, [[t] for t in angles], mode, n, rng, source)[0]
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,6 @@ def sweep_chsh(
     n: int | None = None,
     rng: RngStream | None = None,
     source: PairSource | None = None,
-    block_size: int = 4096,
 ) -> tuple[ChshResult, SweepTable]:
     """Exhaustive CHSH scan over all angle quadruples on a grid of spacing
     ``grid_step`` covering [0, pi); returns (first maximal result, table).
@@ -280,7 +274,7 @@ def sweep_chsh(
     if m < 1 or abs(ratio - m) > 1e-9:
         raise ValueError(f"grid_step must divide pi, got {grid_step!r}")
     grid = [i * grid_step for i in range(m)]
-    best, c_values, violated = _chsh_scan(model, [grid] * 4, mode, n, rng, source, block_size)
+    best, c_values, violated = _chsh_scan(model, [grid] * 4, mode, n, rng, source)
     return best, SweepTable(grid, c_values, violated, best.v_max)
 
 

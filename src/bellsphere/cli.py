@@ -4,7 +4,7 @@ sequential-measurement demos, and the self-verification suite.
 Angles accept rational multiples of pi (``pi/4``, ``3pi/4``) as well as
 plain radians.  Output is CSV (one comment header line carrying a
 timestamp, then fixed columns) or JSON (an array of flat objects).  Data
-rows are byte-identical across runs with the same seed and block size.
+rows are byte-identical across runs with the same seed.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -33,9 +33,6 @@ EXIT_IO = 3
 
 SEED_ENV_VAR = "BELLSPHERE_SEED"
 SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
-# a Monte Carlo sweep block holds 32 float64 projections per pair at pi/16,
-# 16 MiB at this size
-MAX_BLOCK_SIZE = 65_536
 # the --source names
 _SOURCES = {"sphere": distributions.StaticSphere, "rotating": distributions.RotatingHemispheres}
 
@@ -170,7 +167,6 @@ def cmd_correlate(args) -> int:
         args.theta_b,
         args.trials,
         RngStream(_resolve_seed(args.seed)),
-        block_size=args.block_size,
     )
     row = [getattr(record, c) for c in CORRELATION_COLUMNS]
     _emit([_render(CORRELATION_COLUMNS, [row], args.fmt)], args.out)
@@ -188,7 +184,6 @@ def cmd_chsh(args) -> int:
         n=args.trials,
         rng=RngStream(_resolve_seed(args.seed)),
         source=_SOURCES[args.source](),
-        block_size=args.block_size,
     )
     row = [getattr(result, c) for c in CHSH_COLUMNS]
     _emit([_render(CHSH_COLUMNS, [row], args.fmt)], args.out)
@@ -250,7 +245,6 @@ def cmd_sweep(args) -> int:
         n=args.trials,
         rng=RngStream(_resolve_seed(args.seed)),
         source=_SOURCES[args.source](),
-        block_size=args.block_size,
     )
     _emit(_sweep_chunks(best.model, table, args.fmt), args.out)
     _summary(
@@ -583,7 +577,6 @@ def _add_run_options(parser, trials_default: int):
         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
     )
     parser.add_argument("--trials", type=_positive_int, default=trials_default)
-    parser.add_argument("--block-size", type=_block_size, default=4096)
 
 
 def _add_model_options(parser):
@@ -609,15 +602,6 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _block_size(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_BLOCK_SIZE:
-        raise argparse.ArgumentTypeError(
-            f"block size must be at most {MAX_BLOCK_SIZE}, got {text!r}"
-        )
     return value
 
 

@@ -33,6 +33,7 @@ from .distributions import (
 )
 
 _DOUBT = 2.0**-14  # float32-screened projections this close to 0 are redone; see _signs
+_BLOCK_PAIRS = 4096  # pairs per Monte Carlo block, each block on its own stream
 _CHUNK_VALUES = 32_768  # projections per Monte Carlo chunk; see role_sums
 
 
@@ -153,16 +154,16 @@ def sequence_outcomes(e0: Ensemble, axes, n: int, rng: RngStream):
     sign.
     """
     if isinstance(e0, Hemisphere):
-        cur_theta, signs = e0.axis.theta, np.full(n, float(e0.sign))
+        cur_theta, outcomes = e0.axis.theta, np.full(n, 0.5 * e0.sign)
     else:
-        cur_theta, signs = None, None
+        cur_theta, outcomes = None, None
     for axis in axes:
         if cur_theta is None:
             p_plus = np.full(n, 0.5)
         else:
-            p_plus = 0.5 * (1.0 + signs * math.cos(angle_delta(cur_theta, axis.theta)))
-        signs = np.where(rng.uniform(n) < p_plus, 1.0, -1.0)
-        yield 0.5 * signs
+            p_plus = 0.5 + outcomes * math.cos(angle_delta(cur_theta, axis.theta))
+        outcomes = np.subtract(rng.uniform(n) < p_plus, 0.5)
+        yield outcomes
         cur_theta = axis.theta
 
 
@@ -217,22 +218,26 @@ def _quarter_sums(disagree, n: int):
     return s, np.full(s.shape, n / 16)
 
 
-def role_sums(model, source, axes_a, axes_b, n: int, block_size: int, streams):
-    """Yields (s, s2) tables of ``n`` pairs in blocks of ``block_size``,
-    block i drawn from the i-th of ``streams``, whose running sum is the
-    block sums added in block order, bit for bit.  A chunk of as many whole
-    blocks as keep its (m_a + m_b) projections per pair within
-    _CHUNK_VALUES, and at least one, is measured at once: each block draws
-    its pairs, then StochasticSign's (m_a + m_b, size) flips, straight into
-    its slice of buffers that serve every chunk, and a pair's y, z and
-    signs depend on its own draws only."""
+def role_sums(model, source, axes_a, axes_b, n: int, streams):
+    """Yields (s, s2) tables, each (m_a, m_b), of the sums of o1 o2 and of
+    (o1 o2)^2 over ``n`` pairs measured along every axis pair, in blocks of
+    _BLOCK_PAIRS pairs, block i drawn from the i-th of ``streams``; their
+    running sum is the block sums added in block order, bit for bit.  All
+    axis pairs read a block's one set of draws, so entry (i, j) is bit for
+    bit the sum of the block's :func:`measure_pair_batch` outcomes for
+    (a_i, b_j), except for StochasticSign, which draws its flips for every
+    axis.  A chunk of as many whole blocks as keep its (m_a + m_b)
+    projections per pair within _CHUNK_VALUES, and at least one, is
+    measured at once: each block draws its pairs, then StochasticSign's
+    (m_a + m_b, size) flips, straight into its slice of buffers that serve
+    every chunk, and a pair's y, z and signs depend on its own draws only."""
     m = len(axes_a) + len(axes_b)
-    chunk = block_size * max(1, _CHUNK_VALUES // (block_size * m))
+    chunk = _BLOCK_PAIRS * max(1, _CHUNK_VALUES // (_BLOCK_PAIRS * m))
     draws = np.empty((min(n, chunk), 2 if isinstance(model, EnsembleDep) else draw_width(source)))
     flips = np.empty(m * len(draws)) if isinstance(model, StochasticSign) else None
     for first in range(0, max(n, 1), chunk):  # n = 0 measures one empty block
         size = min(chunk, n - first)
-        bounds = [0, *range(block_size, size, block_size), size]
+        bounds = [0, *range(_BLOCK_PAIRS, size, _BLOCK_PAIRS), size]
         for (start, stop), stream in zip(itertools.pairwise(bounds), streams):
             stream.uniform((stop - start, draws.shape[1]), out=draws[start:stop])
             if flips is not None:
@@ -242,8 +247,10 @@ def role_sums(model, source, axes_a, axes_b, n: int, block_size: int, streams):
 
 def _chunk_sums(model, source, axes_a, axes_b, draws, flips, bounds):
     """(s, s2) tables of one chunk of ``draws``, blocks between ``bounds``:
-    one per block for ``Direct``, which sums each block's own products, and
-    one for the chunk for the +-1/2 models, whose sums are multiples of
+    one per block for ``Direct``, which sums each block's own float64
+    products in pair order along a contiguous row, and one for the chunk for
+    the +-1/2 models, which count the pairs whose outcomes (from the signs
+    of :func:`_signs`) disagree: sums of +-1/4 products are multiples of
     1/16 far below 2^51, exact in any grouping."""
     m_a, n = len(axes_a), len(draws)
     if isinstance(model, EnsembleDep):
@@ -285,38 +292,17 @@ def _chunk_sums(model, source, axes_a, axes_b, draws, flips, bounds):
 
 
 def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, rng: RngStream):
-    """Measure ``n`` correlated pairs; particle 1 along ``a``, particle 2
-    along ``b``.
+    """Measure ``n`` correlated pairs, particle 1 along ``a`` and particle 2
+    along ``b``; returns (o1, o2), the two (n,) outcome arrays.
 
-    ``a`` and ``b`` are one Axis each, and the result is (o1, o2), the two
-    (n,) outcome arrays; or they are sequences of m_a and m_b axes, and the
-    result is (s, s2), the (m_a, m_b) tables of the block's sums of o1 o2 and
-    of (o1 o2)^2 for every axis pair: the one-block case of
-    :func:`role_sums`.  All pairs of axes are measured on the block's one
-    set of draws, so entry (i, j) is bit for bit the sum of the one-axis
-    outcomes for (a_i, b_j), except for StochasticSign, which draws its
-    flips for every axis.
-
-    A point-like table holds its (m_a + m_b) n projections as floats.
-    ``Direct`` multiplies them one a-axis at a time and sums the float
-    products in pair order along a contiguous row.  The +-1/2 models keep
-    their outcomes as boolean masks and multiply nothing: each product is
-    +-1/4, so every partial sum is exact in any order, and the sums are
-    1/4 (n - 2k) and n/16, k the pairs whose outcomes disagree.  Their
-    tables read only signs, which :func:`_signs` screens in float32 and
-    are the float64 signs bit for bit; ``Direct`` reads the values, so it
-    and the single-axis path project in float64.
-
-    Point-like models draw particle 1's in-plane components from the source
-    and measure j1 and j2 = -j1 locally.  The ensemble detector instead
-    measures particle 1 from the full-sphere ensemble; angular-momentum
-    conservation then places particle 2 in the opposite hemisphere about
-    ``a``, which is measured along ``b``.  (The source argument is ignored
-    in that branch: the emitted statistics of both sources coincide with
-    the full-sphere ensemble.)
+    Point-like models draw particle 1's in-plane components from the source,
+    project in float64 and measure j1 and j2 = -j1 locally.  The ensemble
+    detector instead measures particle 1 from the full-sphere ensemble;
+    angular-momentum conservation then places particle 2 in the opposite
+    hemisphere about ``a``, which is measured along ``b``.  (The source
+    argument is ignored in that branch: the emitted statistics of both
+    sources coincide with the full-sphere ensemble.)
     """
-    if not isinstance(a, Axis):
-        return next(role_sums(model, source, a, b, n, max(n, 1), [rng]))
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
         plus1, u2 = draws[:, 0] < 0.5, draws[:, 1]

@@ -6,7 +6,7 @@ axis is one angle measured from z.  Angular momenta are unit 3-vectors
 J = 1).  All sampling goes through :class:`RngStream`, a counter-based
 stream whose output is a pure function of ``(seed, stream_id)``; Monte Carlo
 blocks each draw from their own child stream, which is what makes a run
-bit-reproducible for a given seed and block size.
+bit-reproducible for a given seed.
 """
 
 from __future__ import annotations

@@ -211,8 +211,8 @@ def test_criterion_09_noisy_sign_discrepancy_report():
 
 
 def test_criterion_10_worker_count_reproducibility(tmp_path):
-    # data rows are a function of the seed and the block size: two fresh
-    # processes with the same ones print the same rows
+    # data rows are a function of the seed: two fresh processes with the
+    # same one print the same rows
     env = dict(os.environ)
     env.pop("BELLSPHERE_SEED", None)
 
@@ -227,8 +227,7 @@ def test_criterion_10_worker_count_reproducibility(tmp_path):
             if line and not line.startswith("#")
         ]
 
-    monte_carlo = ["--model", "ensemble", "--mode", "montecarlo", "--seed", "11",
-                   "--block-size", "1024"]
+    monte_carlo = ["--model", "ensemble", "--mode", "montecarlo", "--seed", "11"]
     commands = [
         ["correlate", "--model", "ensemble", "--theta-a", "0", "--theta-b", "pi/4",
          "--trials", "300000", "--seed", "9"],
@@ -241,4 +240,4 @@ def test_criterion_10_worker_count_reproducibility(tmp_path):
         first = rows(command, tmp_path / f"{i}a.csv")
         assert len(first) > 1
         assert first == rows(command, tmp_path / f"{i}b.csv")
-    _passed(10, "byte-identical data rows across processes at one seed and block size")
+    _passed(10, "byte-identical data rows across processes at one seed")

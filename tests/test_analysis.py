@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsphere import analysis, cli
+from bellsphere import analysis, cli, detectors
 from bellsphere import (
     Axis,
     Direct,
@@ -38,6 +38,7 @@ MODELS = st.one_of(
     st.floats(0.5, 1.0).map(StochasticSign),
 )
 ANGLES = st.floats(-20.0, 20.0)
+BLOCK = 4096  # pairs per Monte Carlo block, each on its own child stream
 
 
 def pair_angles(quad):
@@ -164,7 +165,7 @@ class TestRoleMemory:
     def test_a_one_axis_role_holds_one_chunk(self):
         def peak(n):
             return traced_peak(lambda: analysis._role_table(
-                Sign(), RotatingHemispheres(), [1.1], [2.3], n, RngStream(90), 4096
+                Sign(), RotatingHemispheres(), [1.1], [2.3], n, RngStream(90)
             ))
 
         small, large = peak(200_000), peak(2_000_000)
@@ -176,12 +177,12 @@ class TestRoleMemory:
 
         def peak(n):
             return traced_peak(lambda: analysis._role_table(
-                Direct(), StaticSphere(), thetas, thetas, n, RngStream(91), 4096
+                Direct(), StaticSphere(), thetas, thetas, n, RngStream(91)
             ))
 
         # the loop holds four (16, 16) tables from chunk to chunk: the running
         # totals and the last partial sums; a second block would add 0.5 MiB
-        assert peak(5 * 4096 + 1000) <= peak(4096) + 16 * 2**10
+        assert peak(5 * BLOCK + 1000) <= peak(BLOCK) + 16 * 2**10
 
 
 class TestConeMemory:
@@ -225,33 +226,32 @@ class TestEstimateCorrelation:
         assert abs(record.z_score) <= 5.0
 
     @settings(max_examples=40, deadline=None)
-    @given(MODELS, st.integers(2, 3000), st.integers(1, 700), st.integers(0, 2**32))
-    def test_blocks_reduce_in_order(self, model, n, block_size, seed):
+    @given(MODELS, st.integers(2, 5 * BLOCK), st.integers(0, 2**32))
+    def test_blocks_reduce_in_order(self, model, n, seed):
         # block i of the estimate is measure_pair_batch on rng.split(i), and
         # the block sums are added in block order
         rng = RngStream(seed)
         total = total_sq = 0.0
-        for i, start in enumerate(range(0, n, block_size)):
+        for i, start in enumerate(range(0, n, BLOCK)):
             o1, o2 = measure_pair_batch(
                 model, StaticSphere(), Axis(0.1), Axis(0.9),
-                min(block_size, n - start), rng.split(i),
+                min(BLOCK, n - start), rng.split(i),
             )
             prod = o1 * o2
             total += float(prod.sum())
             total_sq += float((prod * prod).sum())
         e_hat = total / n
         variance = max(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
-        record = estimate_correlation(
-            model, StaticSphere(), 0.1, 0.9, n, RngStream(seed), block_size
-        )
+        record = estimate_correlation(model, StaticSphere(), 0.1, 0.9, n, RngStream(seed))
         assert record.e_hat == e_hat
         assert record.std_err == math.sqrt(variance / n)
 
     def test_partial_final_block(self):
-        record = estimate_correlation(
-            Sign(), StaticSphere(), 0.0, 1.0, 10_001, RngStream(75), block_size=4096
-        )
-        assert record.n_trials == 10_001
+        # two whole blocks and a short third of one pair
+        n = 2 * BLOCK + 1
+        record = estimate_correlation(Sign(), StaticSphere(), 0.0, 1.0, n, RngStream(75))
+        assert record.n_trials == n
+        assert abs(record.z_score) <= 5.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -291,14 +291,11 @@ class TestChsh:
             chsh(Sign(), QUADRUPLE, mode="montecarlo", n=1, rng=RngStream(1))
 
     def test_monte_carlo_takes_one_stream_per_role(self):
-        n, block_size = 5000, 1024
-        result = chsh(
-            EnsembleDep(), QUADRUPLE, mode="montecarlo", n=n, rng=RngStream(77),
-            block_size=block_size,
-        )
+        n = BLOCK + 904  # two blocks per role
+        result = chsh(EnsembleDep(), QUADRUPLE, mode="montecarlo", n=n, rng=RngStream(77))
         es = [
             estimate_correlation(
-                EnsembleDep(), StaticSphere(), ta, tb, n, RngStream(77).split(k), block_size
+                EnsembleDep(), StaticSphere(), ta, tb, n, RngStream(77).split(k)
             ).e_hat
             for k, (ta, tb) in enumerate(pair_angles(QUADRUPLE))
         ]
@@ -360,13 +357,10 @@ class TestSweep:
     def test_monte_carlo_rows_take_one_estimate_per_role(self):
         # role k (ab, ab', a'b, a'b') draws n pairs once, block i on
         # rng.split(k).split(i), and measures them along every axis pair
-        m, n, block_size = 4, 3000, 1024
+        m, n = 4, BLOCK + 904  # two blocks per role
         roles = [(0, 1), (0, 3), (2, 1), (2, 3)]  # positions in (a, b, a', b')
         for model in (Direct(), Sign(), EnsembleDep(), StochasticSign()):
-            best, table = sweep_chsh(
-                model, math.pi / m, mode="montecarlo", n=n, rng=RngStream(81),
-                block_size=block_size,
-            )
+            best, table = sweep_chsh(model, math.pi / m, mode="montecarlo", n=n, rng=RngStream(81))
             grid = table.grid
             if isinstance(model, StochasticSign):
                 # flips are drawn per axis, so an entry is not the one-pair
@@ -375,11 +369,11 @@ class TestSweep:
                 es = []
                 for role in range(4):
                     total = total_sq = 0.0
-                    for i, start in enumerate(range(0, n, block_size)):
-                        s, s2 = measure_pair_batch(
+                    for i, start in enumerate(range(0, n, BLOCK)):
+                        s, s2 = next(detectors.role_sums(
                             model, StaticSphere(), axes, axes,
-                            min(block_size, n - start), RngStream(81).split(role).split(i),
-                        )
+                            min(BLOCK, n - start), [RngStream(81).split(role).split(i)],
+                        ))
                         total, total_sq = total + s, total_sq + s2
                     e = total / n
                     std_err = np.sqrt((total_sq - n * e * e) / (n - 1) / n)
@@ -392,8 +386,7 @@ class TestSweep:
                     [
                         [
                             estimate_correlation(
-                                model, StaticSphere(), x, y, n, RngStream(81).split(role),
-                                block_size,
+                                model, StaticSphere(), x, y, n, RngStream(81).split(role)
                             ).e_hat
                             for y in grid
                         ]

@@ -24,7 +24,6 @@ from bellsphere import (
 from bellsphere.cli import (
     CHSH_COLUMNS,
     CORRELATION_COLUMNS,
-    MAX_BLOCK_SIZE,
     _check_mean_preservation,
     _format_cell,
     _render,
@@ -290,15 +289,15 @@ class TestChshAndSweep:
         ["chsh", "--angles", "0,pi/4,pi/2,3pi/4", "--mode", "montecarlo"],
         ["sweep", "--step", "pi/16", "--mode", "montecarlo"],
     ])
-    def test_block_size_above_the_bound_is_usage_error(self, command, capsys):
-        # a block's arrays grow with its size: it is rejected while parsing,
-        # before anything is allocated
+    def test_block_size_is_not_an_option(self, command, capsys):
+        # Monte Carlo blocks are fixed at 4096 pairs; the option that set
+        # them is gone, even at its old default
         with pytest.raises(SystemExit) as exit_info:
-            main([*command, "--model", "sign", "--block-size", str(MAX_BLOCK_SIZE + 1)])
+            main([*command, "--model", "sign", "--block-size", "4096"])
         assert exit_info.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"at most {MAX_BLOCK_SIZE}" in captured.err
+        assert "bellsphere: error:" in captured.err
 
     @pytest.mark.parametrize("model", ["sign", "ensemble", "stochastic"])
     @pytest.mark.parametrize("p_hi", ["nan", "0.4", "7"])
@@ -326,11 +325,10 @@ class TestChshAndSweep:
 
     @pytest.mark.parametrize("argv, option", [
         ([*CORRELATE, "--p-hi", "foo"], "--p-hi"),
-        ([*CORRELATE, "--block-size", "foo"], "--block-size"),
         ([*CORRELATE, "--trials", "foo"], "--trials"),
         (["verify", "--feasibility-samples", "x"], "--feasibility-samples"),
         (["sequential", "--axes", "0", "--trials", "1.5"], "--trials"),
-    ], ids=["p_hi", "block_size", "trials", "feasibility_samples", "sequential_trials"])
+    ], ids=["p_hi", "trials", "feasibility_samples", "sequential_trials"])
     def test_non_number_names_the_option_not_the_parser(self, argv, option, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -436,7 +434,7 @@ class TestSweepRendering:
     def test_monte_carlo_sweeps_match_reference(self, source, fmt):
         best, table = sweep_chsh(
             model_from_name("ensemble"), math.pi / 4, mode="montecarlo", n=2000,
-            rng=RngStream(31), source=source, block_size=700,
+            rng=RngStream(31), source=source,
         )
         assert table.violated.any() and not table.violated.all()
         self.assert_same_text(

@@ -5,13 +5,13 @@ so any change to a drawn bit, an outcome or a block sum shows up as a new
 SHA-256.  A second digest pins ``verify``'s whole report at four seeds.  A
 reference kernel, restated here as the package first wrote it
 (``np.where`` outcomes, float product sums and a fresh ``rng.split(i)`` per
-block), pins ``measure_pair_batch`` and the role tables bit for bit; the
-draws, shares and feasibility decisions of ``verify``'s checks are pinned
-the same way against their first, one-batch forms, as are the cone's
-facets, simplices and pseudo-inverses, and the facet route's feasibility
-decisions against nonnegative least squares.  The +-1/2 models'
-float32 screen is held to its error bound and to the reference through its
-float64 fallback.
+4096-pair block), pins ``measure_pair_batch``, the kernel's block sums and
+the role tables bit for bit; the draws, shares and feasibility decisions of
+``verify``'s checks are pinned the same way against their first, one-batch
+forms, as are the cone's facets, simplices and pseudo-inverses, and the
+facet route's feasibility decisions against nonnegative least squares.  The
++-1/2 models' float32 screen is held to its error bound and to the reference
+through its float64 fallback.
 """
 
 import hashlib
@@ -51,12 +51,13 @@ SOURCE_NAMES = ("sphere", "rotating")
 MODELS = [Direct(), Sign(), StochasticSign(), EnsembleDep()]
 SOURCES = [StaticSphere(), RotatingHemispheres()]
 TWO_PI = 2.0 * math.pi
+BLOCK = 4096  # pairs per Monte Carlo block
 
 
 def golden_commands():
     for model, source in itertools.product(MODEL_NAMES, SOURCE_NAMES):
-        # one short block, several chunks, and several chunks ending on a
-        # short last block
+        # one short block; three blocks in one chunk; three chunks, the last
+        # ending on a short block
         for trials in ("1001", "9001", "40000"):
             yield [
                 "correlate", "--model", model, "--source", source,
@@ -178,17 +179,20 @@ def reference_sums(model, source, axes_a, axes_b, n, rng):
     return s, s2
 
 
-def reference_role_table(model, source, thetas_a, thetas_b, n, rng, block_size):
+def reference_role_table(model, source, thetas_a, thetas_b, n, rng):
     axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
     total = total_sq = 0.0
-    for i, start in enumerate(range(0, n, block_size)):
-        s, s2 = reference_sums(
-            model, source, axes_a, axes_b, min(block_size, n - start), rng.split(i)
-        )
+    for i, start in enumerate(range(0, n, BLOCK)):
+        s, s2 = reference_sums(model, source, axes_a, axes_b, min(BLOCK, n - start), rng.split(i))
         total, total_sq = total + s, total_sq + s2
     e_hat = total / n
     variance = np.maximum(total_sq - n * e_hat * e_hat, 0.0) / (n - 1)
     return e_hat, np.sqrt(variance / n)
+
+
+def block_sums(model, source, axes_a, axes_b, n, rng):
+    """The kernel's (s, s2) tables of one block of ``n`` <= 4096 pairs on ``rng``."""
+    return next(detectors.role_sums(model, source, axes_a, axes_b, n, [rng]))
 
 
 def same_bits(x, y):
@@ -203,15 +207,11 @@ TABLES = {
 }
 
 
-# role tables add a 16 x 16 sweep role, and runs over several chunks of
-# blocks, most ending on a short last block: a chunk holds 32,768
-# projections, 16,384 pairs of a 1 x 1 table at block size 4096 and one
-# block of a 4 x 4 or 16 x 16 table; block size 1 is kept small
+# role tables add a 16 x 16 sweep role, and runs over several blocks and
+# chunks, most ending on a short last block: a chunk holds 32,768
+# projections, 16,384 pairs of a 1 x 1 table and one block of the others
 ROLE_TABLES = {**TABLES, "16x16": ([i * math.pi / 16 for i in range(16)],) * 2}
-ROLE_RUNS = (
-    (2, 1), (9, 2), (5000, 777), (9001, 4096),
-    (40_000, 777), (40_000, 4096), (40_000, 65_536), (2_000, 1),
-)
+ROLE_RUNS = (2, 9, 5000, 9001, 40_000)
 
 
 class TestKernelAgainstReference:
@@ -221,7 +221,7 @@ class TestKernelAgainstReference:
     def test_block_sums_and_outcomes(self, model, source, n):
         for k, (thetas_a, thetas_b) in enumerate(TABLES.values()):
             axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
-            got = measure_pair_batch(model, source, axes_a, axes_b, n, RngStream(5, k))
+            got = block_sums(model, source, axes_a, axes_b, n, RngStream(5, k))
             want = reference_sums(model, source, axes_a, axes_b, n, RngStream(5, k))
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         a, b = Axis(0.4), Axis(2.9)
@@ -234,12 +234,10 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("table", ROLE_TABLES, ids=list(ROLE_TABLES))
     def test_role_tables(self, model, source, table):
         thetas_a, thetas_b = ROLE_TABLES[table]
-        for n, block_size in ROLE_RUNS:
-            got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(8, 3), block_size)
-            want = reference_role_table(
-                model, source, thetas_a, thetas_b, n, RngStream(8, 3), block_size
-            )
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (n, block_size)
+        for n in ROLE_RUNS:
+            got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(8, 3))
+            want = reference_role_table(model, source, thetas_a, thetas_b, n, RngStream(8, 3))
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), n
 
     @pytest.mark.parametrize("m_a, m_b", [(4, 4), (16, 16)])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -261,7 +259,7 @@ class TestKernelAgainstReference:
 
 
 def recording_pair_yz(monkeypatch):
-    """The index arrays of the pairs that measure_pair_batch evaluates again
+    """The index arrays of the pairs that the kernel evaluates again
     in float64, recorded as they are passed."""
     recomputed = []
 
@@ -307,12 +305,10 @@ class TestFloat32Screen:
         monkeypatch.setattr(detectors, "_DOUBT", math.inf)
         recomputed = recording_pair_yz(monkeypatch)
         thetas_a, thetas_b = TABLES[table]
-        for n in (2, 777, 4096):
+        for n in (2, 777, 9001):
             recomputed.clear()
-            got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(9, n), 1000)
-            want = reference_role_table(
-                model, source, thetas_a, thetas_b, n, RngStream(9, n), 1000
-            )
+            got = _role_table(model, source, thetas_a, thetas_b, n, RngStream(9, n))
+            want = reference_role_table(model, source, thetas_a, thetas_b, n, RngStream(9, n))
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
             assert sum(len(index) for index in recomputed) == n
 
@@ -330,7 +326,7 @@ class TestFloat32Screen:
         assert abs(p_k) < 1e-9
         for axes_a, axes_b in (([edge, Axis(1.0)], [Axis(2.0)]), ([Axis(0.5)], [Axis(3.0), edge])):
             recomputed.clear()
-            got = measure_pair_batch(model, source, axes_a, axes_b, n, RngStream(10))
+            got = block_sums(model, source, axes_a, axes_b, n, RngStream(10))
             want = reference_sums(model, source, axes_a, axes_b, n, RngStream(10))
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
             assert len(recomputed) == 1 and k in recomputed[0]
@@ -345,7 +341,7 @@ class TestFloat32Screen:
                 for _ in range(2)
             )
             n = int(gen.integers(1, 4097))
-            got = measure_pair_batch(model, source, axes_a, axes_b, n, RngStream(20, i))
+            got = block_sums(model, source, axes_a, axes_b, n, RngStream(20, i))
             want = reference_sums(model, source, axes_a, axes_b, n, RngStream(20, i))
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), i
         assert recomputed
