@@ -326,9 +326,10 @@ class TestChshAndSweep:
     @pytest.mark.parametrize("argv, option", [
         ([*CORRELATE, "--p-hi", "foo"], "--p-hi"),
         ([*CORRELATE, "--trials", "foo"], "--trials"),
+        ([*CORRELATE, "--seed", "x"], "--seed"),
         (["verify", "--feasibility-samples", "x"], "--feasibility-samples"),
         (["sequential", "--axes", "0", "--trials", "1.5"], "--trials"),
-    ], ids=["p_hi", "trials", "feasibility_samples", "sequential_trials"])
+    ], ids=["p_hi", "trials", "seed", "feasibility_samples", "sequential_trials"])
     def test_non_number_names_the_option_not_the_parser(self, argv, option, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
