@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -31,7 +30,6 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
-SEED_ENV_VAR = "BELLSPHERE_SEED"
 SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
 # the --source names
 _SOURCES = {"sphere": distributions.StaticSphere, "rotating": distributions.RotatingHemispheres}
@@ -89,20 +87,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _resolve_seed(value: int | None) -> int:
-    # RngStream keys Philox with the seed's low 64 bits, so a seed outside
-    # [0, 2^64) would silently alias one inside it
-    if value is None:
-        raw = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not 0 <= value < 2**64:
-        raise _UsageError(f"seed must be in [0, 2^64), got {value}")
-    return value
 
 
 def _format_cell(value) -> str:
@@ -166,7 +150,7 @@ def cmd_correlate(args) -> int:
         args.theta_a,
         args.theta_b,
         args.trials,
-        RngStream(_resolve_seed(args.seed)),
+        RngStream(args.seed),
     )
     row = [getattr(record, c) for c in CORRELATION_COLUMNS]
     _emit([_render(CORRELATION_COLUMNS, [row], args.fmt)], args.out)
@@ -176,13 +160,13 @@ def cmd_correlate(args) -> int:
 def cmd_chsh(args) -> int:
     angles = parse_angle_list(args.angles)
     if len(angles) != 4:
-        raise _UsageError("--angles needs exactly four comma-separated angles")
+        raise ValueError("--angles needs exactly four comma-separated angles")
     result = analysis.chsh(
         detectors.model_from_name(args.model, args.p_hi),
         tuple(angles),
         mode=args.mode,
         n=args.trials,
-        rng=RngStream(_resolve_seed(args.seed)),
+        rng=RngStream(args.seed),
         source=_SOURCES[args.source](),
     )
     row = [getattr(result, c) for c in CHSH_COLUMNS]
@@ -237,13 +221,13 @@ def cmd_sweep(args) -> int:
     # the m^4 values are held in memory and m^3 rows of text at a time, so
     # the grid is capped at 16^4 quadruples
     if args.step < math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
-        raise _UsageError(f"--step must be at least pi/{SWEEP_MAX_STEPS}")
+        raise ValueError(f"--step must be at least pi/{SWEEP_MAX_STEPS}")
     best, table = analysis.sweep_chsh(
         detectors.model_from_name(args.model, args.p_hi),
         args.step,
         mode=args.mode,
         n=args.trials,
-        rng=RngStream(_resolve_seed(args.seed)),
+        rng=RngStream(args.seed),
         source=_SOURCES[args.source](),
     )
     _emit(_sweep_chunks(best.model, table, args.fmt), args.out)
@@ -276,52 +260,52 @@ def _projection_deltas(pre, axis: Axis):
     return rows
 
 
+def _signed(value: float) -> str:
+    # a value that rounds to zero prints +0.000000, never -0.000000
+    return f"{round(value, 6) + 0.0:+.6f}"
+
+
 def cmd_sequential(args) -> int:
-    seed = _resolve_seed(args.seed)
     axes = [Axis(t) for t in parse_angle_list(args.axes)]
     if args.trials < 2:
-        raise _UsageError("--trials must be at least 2 for a standard error")
+        raise ValueError("--trials must be at least 2 for a standard error")
     if args.initial == "sphere":
         e0 = distributions.FullSphere()
     else:
         e0 = distributions.Hemisphere(Axis(args.initial_axis), args.initial_sign)
     tree_means = oracles.sequence_means(e0, axes)
-    steps = detectors.sequence_outcomes(e0, axes, args.trials, RngStream(seed))
+    steps = detectors.sequence_outcomes(e0, axes, args.trials, RngStream(args.seed))
 
     print("sequential ensemble measurements")
     print(f"initial ensemble : {_ensemble_label(e0)}")
     print(f"axes             : {', '.join(f'{a.theta:.6f}' for a in axes)}")
-    print(f"trials={args.trials} seed={seed}")
+    print(f"trials={args.trials} seed={args.seed}")
     for i, (axis, outcomes, tree_mean) in enumerate(zip(axes, steps, tree_means)):
         freq_plus = float(np.mean(outcomes > 0))
         mc_mean = float(np.mean(outcomes))
         print(f"step {i + 1}: axis theta={axis.theta:.6f}")
         print(
-            f"  mc P(+1/2)={freq_plus:.6f}  mc mean={mc_mean:+.6f}  "
-            f"tree mean={tree_mean:+.6f}"
+            f"  mc P(+1/2)={freq_plus:.6f}  mc mean={_signed(mc_mean)}  "
+            f"tree mean={_signed(tree_mean)}"
         )
         pre = e0 if i == 0 else distributions.Hemisphere(axes[i - 1], 1)
         pre_mean = distributions.ensemble_mean_projection(pre, axis)
         print(
             f"  transitions from {_ensemble_label(pre)} "
-            f"(mean projection {pre_mean:+.6f}; mirror for the -1 branch):"
+            f"(mean projection {_signed(pre_mean)}; mirror for the -1 branch):"
         )
         for outcome, post, own, alt in _projection_deltas(pre, axis):
             print(
                 f"    outcome {outcome:+.1f}: post={_ensemble_label(post)}  "
-                f"delta<J>(post-pre)={own:+.6f}  alt(-2kP)={alt:+.6f}"
+                f"delta<J>(post-pre)={_signed(own)}  alt(-2kP)={_signed(alt)}"
             )
     # the loop leaves the last step's outcomes and means behind
     final_err = float(np.std(outcomes, ddof=1) / math.sqrt(args.trials))
     print(
-        f"final outcome: mc mean={mc_mean:+.6f} +- {final_err:.6f}, "
-        f"tree oracle={tree_mean:+.6f}"
+        f"final outcome: mc mean={_signed(mc_mean)} +- {final_err:.6f}, "
+        f"tree oracle={_signed(tree_mean)}"
     )
     return EXIT_OK
-
-
-class _UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +533,8 @@ def run_verification(
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
     ok = run_verification(
-        seed,
+        args.seed,
         feasibility_samples=args.feasibility_samples,
         report_discrepancies=args.report_discrepancies,
     )
@@ -569,13 +552,12 @@ def _add_output_options(parser):
     )
 
 
+def _add_seed_option(parser):
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+
+
 def _add_run_options(parser, trials_default: int):
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
-    )
+    _add_seed_option(parser)
     parser.add_argument("--trials", type=_positive_int, default=trials_default)
 
 
@@ -584,7 +566,7 @@ def _add_model_options(parser):
     parser.add_argument(
         "--p-hi",
         type=_p_hi,
-        default=0.75,
+        default=detectors.StochasticSign.p_hi,
         help="sign-agreement weight of the stochastic model (in [1/2, 1])",
     )
     parser.add_argument(
@@ -655,12 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", choices=("hemisphere", "sphere"), default="hemisphere")
     p.add_argument("--initial-axis", type=parse_angle, default=0.0)
     p.add_argument("--initial-sign", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=100_000)
+    _add_run_options(p, trials_default=100_000)
     p.set_defaults(func=cmd_sequential)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed_option(p)
     p.add_argument("--feasibility-samples", type=_positive_int, default=2000)
     p.add_argument("--report-discrepancies", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -672,7 +653,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, argparse.ArgumentTypeError, ValueError) as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"bellsphere: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -87,7 +87,7 @@ def model_name(model: DetectorModel) -> str:
     return {cls: name for name, cls in MODELS.items()}[type(model)]
 
 
-def model_from_name(name: str, p_hi: float = 0.75) -> DetectorModel:
+def model_from_name(name: str, p_hi: float = StochasticSign.p_hi) -> DetectorModel:
     if name not in MODELS:
         raise ValueError(f"unknown detector model {name!r}")
     cls = MODELS[name]
@@ -235,7 +235,7 @@ def role_sums(model, source, axes_a, axes_b, n: int, streams):
     chunk = _BLOCK_PAIRS * max(1, _CHUNK_VALUES // (_BLOCK_PAIRS * m))
     draws = np.empty((min(n, chunk), 2 if isinstance(model, EnsembleDep) else draw_width(source)))
     flips = np.empty(m * len(draws)) if isinstance(model, StochasticSign) else None
-    for first in range(0, max(n, 1), chunk):  # n = 0 measures one empty block
+    for first in range(0, n, chunk):
         size = min(chunk, n - first)
         bounds = [0, *range(_BLOCK_PAIRS, size, _BLOCK_PAIRS), size]
         for (start, stop), stream in zip(itertools.pairwise(bounds), streams):

@@ -50,7 +50,10 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
+        # Philox is keyed by 64 bits: a seed outside them would alias one inside
+        self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         self.stream_id = int(stream_id) & _MASK64
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))

@@ -8,7 +8,6 @@ import contextlib
 import io
 import itertools
 import math
-import os
 import subprocess
 import sys
 import time
@@ -210,16 +209,14 @@ def test_criterion_09_noisy_sign_discrepancy_report():
                "with the oracle")
 
 
-def test_criterion_10_worker_count_reproducibility(tmp_path):
+def test_criterion_10_rows_repeat_across_processes(tmp_path):
     # data rows are a function of the seed: two fresh processes with the
     # same one print the same rows
-    env = dict(os.environ)
-    env.pop("BELLSPHERE_SEED", None)
 
     def rows(command, path):
         result = subprocess.run(
             [sys.executable, "-m", "bellsphere.cli", *command, "--out", str(path)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
         return [

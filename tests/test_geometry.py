@@ -100,6 +100,13 @@ class TestRngStream:
         b = sample_sphere(RngStream(1, 1), 100)
         assert not np.array_equal(a, b)
 
+    def test_seed_outside_64_bits_is_rejected(self):
+        # Philox's key holds 64 bits: -1 would alias 2^64 - 1, and 2^64 alias 0
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^64\), got {seed}"):
+                RngStream(seed)
+        assert RngStream(2**64 - 1).uniform(2).shape == (2,)
+
     def test_split_is_stable_and_distinct(self):
         rng = RngStream(7)
         ids = {rng.split(i).stream_id for i in range(100)}

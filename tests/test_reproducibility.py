@@ -191,7 +191,7 @@ def reference_role_table(model, source, thetas_a, thetas_b, n, rng):
 
 
 def block_sums(model, source, axes_a, axes_b, n, rng):
-    """The kernel's (s, s2) tables of one block of ``n`` <= 4096 pairs on ``rng``."""
+    """The kernel's (s, s2) tables of one block of 1 <= ``n`` <= 4096 pairs on ``rng``."""
     return next(detectors.role_sums(model, source, axes_a, axes_b, n, [rng]))
 
 
@@ -221,6 +221,11 @@ class TestKernelAgainstReference:
     def test_block_sums_and_outcomes(self, model, source, n):
         for k, (thetas_a, thetas_b) in enumerate(TABLES.values()):
             axes_a, axes_b = [Axis(t) for t in thetas_a], [Axis(t) for t in thetas_b]
+            if n == 0:  # no pairs, no block
+                assert not list(
+                    detectors.role_sums(model, source, axes_a, axes_b, 0, [RngStream(5, k)])
+                )
+                continue
             got = block_sums(model, source, axes_a, axes_b, n, RngStream(5, k))
             want = reference_sums(model, source, axes_a, axes_b, n, RngStream(5, k))
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
