@@ -206,6 +206,24 @@ class TestSeedRange:
         assert captured.out == ""
         assert f"seed must be in [0, 2^64), got {seed}" in captured.err
 
+    @pytest.mark.parametrize("raw", ["-1", "abc"])
+    @pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=lambda c: c[0])
+    def test_exported_seed_variable_is_ignored(self, command, raw, monkeypatch, capsys):
+        # BELLSPHERE_SEED is no longer read: a value that once was a usage
+        # error leaves the output as it is without it
+        monkeypatch.delenv("BELLSPHERE_SEED", raising=False)
+        assert main(command) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("BELLSPHERE_SEED", raw)
+        assert main(command) == 0
+        assert capsys.readouterr() == unset
+
+    def test_library_seed_outside_64_bits_raises(self, capsys):
+        # run_verification keys its stream before it prints a line
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\), got -1"):
+            run_verification(-1, feasibility_samples=20)
+        assert capsys.readouterr().out == ""
+
     def test_largest_seed_runs(self):
         command = [*SEEDED_COMMANDS[0], "--seed"]
         largest = run_cli(*command, str(2**64 - 1))
