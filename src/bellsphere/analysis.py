@@ -35,6 +35,7 @@ from .detectors import (
 
 CLOSED_FORM_SLACK = 1e-9
 OUTCOME_VALUES = (-0.5, 0.5)  # table index 0 -> -1/2, index 1 -> +1/2
+SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
 
 
 def e_closed(model: DetectorModel, theta_a: float, theta_b: float) -> float:
@@ -266,9 +267,12 @@ def sweep_chsh(
 
     The step must divide pi; correlations depend only on reduced axis
     separations, so the [0, pi) grid already realizes every quadruple of
-    separations the full circle would.  Monte Carlo mode draws n pairs per
-    CHSH role and measures them along all m axes (see :func:`_chsh_scan`).
+    separations the full circle would; the m^4 values are held in memory, so
+    it is at least pi/16.  Monte Carlo mode draws n pairs per CHSH role and
+    measures them along all m axes (see :func:`_chsh_scan`).
     """
+    if not grid_step >= math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
+        raise ValueError(f"grid_step must be at least pi/{SWEEP_MAX_STEPS}, got {grid_step!r}")
     ratio = math.pi / grid_step
     m = round(ratio)
     if m < 1 or abs(ratio - m) > 1e-9:

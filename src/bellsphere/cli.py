@@ -30,7 +30,6 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
-SWEEP_MAX_STEPS = 16  # finest sweep grid: step pi/16, 65,536 quadruples
 # the --source names
 _SOURCES = {"sphere": distributions.StaticSphere, "rotating": distributions.RotatingHemispheres}
 
@@ -52,14 +51,13 @@ _ANGLE_RE = re.compile(
 )
 
 
-def parse_angle(text: str) -> float:
-    """Parse an angle: plain radians or a rational multiple of pi.
+def _parse_radians(text: str) -> float:
+    """Parse plain radians or a rational multiple of pi, as given.
 
     The fraction is evaluated first and multiplied by pi once, so grid
     angles like ``3pi/4`` land on exact multiples of the float pi.
-    Results are normalized into [0, 2 pi) as :class:`Axis` normalizes them;
-    ``nan``, ``inf`` and an empty entry are rejected.
-    """
+    ``nan``, ``inf`` and an empty entry are rejected.  A length, the sweep
+    step, is taken as it is; an axis goes through :func:`parse_angle`."""
     try:
         value = float(text)
     except ValueError:
@@ -74,7 +72,12 @@ def parse_angle(text: str) -> float:
         value = sign * (numerator / denominator) * math.pi
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
-    return Axis(value).theta
+    return value
+
+
+def parse_angle(text: str) -> float:
+    """Parse an axis angle, normalized into [0, 2 pi) as :class:`Axis` does."""
+    return Axis(_parse_radians(text)).theta
 
 
 def parse_angle_list(text: str) -> list[float]:
@@ -218,10 +221,6 @@ def _sweep_chunks(model: str, table: analysis.SweepTable, fmt: str):
 
 
 def cmd_sweep(args) -> int:
-    # the m^4 values are held in memory and m^3 rows of text at a time, so
-    # the grid is capped at 16^4 quadruples
-    if args.step < math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
-        raise ValueError(f"--step must be at least pi/{SWEEP_MAX_STEPS}")
     best, table = analysis.sweep_chsh(
         detectors.model_from_name(args.model, args.p_hi),
         args.step,
@@ -311,7 +310,7 @@ def cmd_sequential(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suite
 
-# pairs per draw of the parameter-independence check
+# rows per draw of the parameter-independence and feasibility cross-checks
 _PIECE_PAIRS = 4096
 
 
@@ -441,12 +440,15 @@ def _check_parameter_independence(rng: RngStream):
 def _check_feasibility_cross(rng: RngStream, samples: int):
     gen = np.random.default_rng(rng.seed + 99)
     marginals = [0.5] * 8
-    # one draw of all the vectors: the doubles of a draw of 4 per vector
-    vectors = gen.uniform(-0.25, 0.25, size=(samples, 4))
-    disagreements = np.count_nonzero(
-        analysis.fine_feasible_many(vectors, marginals)
-        != analysis.chsh_inequalities_hold(vectors)
-    )
+    # the vectors are drawn and decided one piece at a time; consecutive
+    # draws of one generator are the doubles of one draw of all of them
+    disagreements = 0
+    for start in range(0, samples, _PIECE_PAIRS):
+        vectors = gen.uniform(-0.25, 0.25, size=(min(_PIECE_PAIRS, samples - start), 4))
+        disagreements += np.count_nonzero(
+            analysis.fine_feasible_many(vectors, marginals)
+            != analysis.chsh_inequalities_hold(vectors)
+        )
     quad = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
     pairs = [(quad[0], quad[1]), (quad[0], quad[3]), (quad[2], quad[1]), (quad[2], quad[3])]
     ens = [analysis.e_closed(detectors.EnsembleDep(), ta, tb) for ta, tb in pairs]
@@ -461,7 +463,7 @@ def _check_feasibility_cross(rng: RngStream, samples: int):
     )
 
 
-def _noisy_sign_report(rng: RngStream, report_grid: bool) -> tuple[bool, str]:
+def _noisy_sign_report(rng: RngStream) -> tuple[bool, str]:
     enumerated = oracles.enumerate_pointlike_E(detectors.StochasticSign(), 0.0)
     alt = analysis.stochastic_sign_alt_form(0.0, 0.0)
     record = analysis.estimate_correlation(
@@ -478,22 +480,18 @@ def _noisy_sign_report(rng: RngStream, report_grid: bool) -> tuple[bool, str]:
         f"enumeration oracle = {enumerated:+.9g} | alt form = {alt:+.9g} | "
         f"monte carlo = {record.e_hat:+.6f} +- {record.std_err:.6f}"
     )
-    if report_grid:
-        print("  delta      oracle        alt form")
-        for d in np.linspace(0.0, math.pi, 9):
-            print(
-                f"  {float(d):8.5f}  {oracles.enumerate_pointlike_E(detectors.StochasticSign(), float(d)):+11.8f}"
-                f"  {analysis.stochastic_sign_alt_form(0.0, float(d)):+11.8f}"
-            )
+    print("  delta      oracle        alt form")
+    for d in np.linspace(0.0, math.pi, 9):
+        print(
+            f"  {float(d):8.5f}  {oracles.enumerate_pointlike_E(detectors.StochasticSign(), float(d)):+11.8f}"
+            f"  {analysis.stochastic_sign_alt_form(0.0, float(d)):+11.8f}"
+        )
     return abs(z) <= 5.0, f"monte carlo sides with the enumeration oracle (|z| = {abs(z):.2f})"
 
 
-def run_verification(
-    seed: int,
-    feasibility_samples: int = 2000,
-    report_discrepancies: bool = False,
-) -> bool:
-    """Run the verification checks, print one line per check, return overall pass."""
+def run_verification(seed: int, feasibility_samples: int = 2000) -> bool:
+    """Run the verification checks, print one line per check, return overall
+    pass.  The last check prints the noisy-sign closed forms on a 9-point grid."""
     rng = RngStream(seed)
     checks = [
         ("density normalization (4 jz0/j0 ratios)", _check_density_normalization),
@@ -508,16 +506,13 @@ def run_verification(
             "joint-table feasibility matches CHSH inequalities",
             lambda: _check_feasibility_cross(rng, feasibility_samples),
         ),
+        ("noisy-sign discrepancy report", lambda: _noisy_sign_report(rng)),
     ]
     all_ok = True
     for name, check in checks:
         ok, detail = check()
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-    ok, detail = _noisy_sign_report(rng, report_discrepancies)
-    all_ok &= ok
-    print(f"[{'PASS' if ok else 'FAIL'}] noisy-sign discrepancy report: {detail}")
 
     # informational: the two bookkeepings of the measurement-induced
     # projection change disagree; both are surfaced, neither is endorsed
@@ -533,11 +528,7 @@ def run_verification(
 
 
 def cmd_verify(args) -> int:
-    ok = run_verification(
-        args.seed,
-        feasibility_samples=args.feasibility_samples,
-        report_discrepancies=args.report_discrepancies,
-    )
+    ok = run_verification(args.seed, feasibility_samples=args.feasibility_samples)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -626,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scan all angle quadruples on a grid")
     _add_model_options(p)
-    p.add_argument("--step", type=parse_angle, required=True, help="grid step; must divide pi")
+    p.add_argument("--step", type=_parse_radians, required=True, help="grid step; must divide pi")
     p.add_argument("--mode", choices=("closed", "montecarlo"), default="closed")
     _add_run_options(p, trials_default=10_000)
     _add_output_options(p)
@@ -643,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-verification suite")
     _add_seed_option(p)
     p.add_argument("--feasibility-samples", type=_positive_int, default=2000)
-    p.add_argument("--report-discrepancies", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -331,6 +331,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_chsh(Sign(), 0.3)
 
+    @pytest.mark.parametrize("step", [math.pi / 17, math.pi / 32, 0.0, -math.pi / 4, math.nan])
+    def test_step_finer_than_pi_16_raises(self, step):
+        # the m^4 values are held in memory: pi/32 would be 1,048,576 of them
+        with pytest.raises(ValueError, match="pi/16"):
+            sweep_chsh(Sign(), step)
+
     def test_closed_sweep_splits_no_streams(self):
         class NoSplit(RngStream):
             __slots__ = ()

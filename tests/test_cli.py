@@ -24,6 +24,7 @@ from bellsphere import (
 from bellsphere.cli import (
     CHSH_COLUMNS,
     CORRELATION_COLUMNS,
+    _check_feasibility_cross,
     _check_mean_preservation,
     _format_cell,
     _render,
@@ -276,6 +277,15 @@ class TestChshAndSweep:
     def test_sweep_grid_finer_than_pi_16_rejected(self, step, capsys):
         assert main(["sweep", "--model", "sign", "--step", step]) == 1
         assert "pi/16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["17pi/8", "2pi"])
+    def test_sweep_step_is_a_length_not_an_axis(self, step, capsys):
+        # the step is a length: taken modulo 2 pi, 17pi/8 would be the pi/8
+        # sweep and 2pi would be 0
+        assert main(["sweep", "--model", "sign", "--step", step]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must divide pi" in captured.err
 
     @pytest.mark.parametrize("command", [
         ["correlate", "--theta-a", "0", "--theta-b", "1"],
@@ -598,12 +608,39 @@ class TestVerify:
         assert ok, detail
 
     def test_report_discrepancies_prints_grid(self):
-        result = run_cli(
-            "verify", "--seed", "5", "--feasibility-samples", "100",
-            "--report-discrepancies",
-        )
+        # the oracle-vs-alt-form grid is part of every report
+        result = run_cli("verify", "--seed", "5", "--feasibility-samples", "100")
         assert result.returncode == 0
-        assert "oracle        alt form" in result.stdout
+        lines = result.stdout.splitlines()
+        grid = lines.index("  delta      oracle        alt form")
+        assert lines[grid - 1].startswith("noisy-sign closed forms at delta=0:")
+        assert len(lines[grid + 1:grid + 10]) == 9
+        assert all(line.startswith("  ") for line in lines[grid + 1:grid + 10])
+        assert lines[grid + 10].startswith("[PASS] noisy-sign discrepancy report:")
+
+    def test_report_discrepancies_is_not_an_option(self, capsys):
+        # the option that once turned the grid on is gone
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--seed", "5", "--report-discrepancies"])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bellsphere: error:" in captured.err
+
+    def test_feasibility_samples_peak_does_not_grow(self):
+        # the cross-check holds one piece of vectors at a time: at 400,000
+        # vectors its traced peak is that of 40,000, within 256 KiB
+        assert _check_feasibility_cross(RngStream(0), 10)[0]  # builds the cone
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert _check_feasibility_cross(RngStream(0), samples)[0]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(400_000) - peak(40_000)) <= 2**18
 
     def test_corrupted_constant_fails_named_check(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -97,17 +97,17 @@ def test_golden_data_rows(capsys):
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
-# the verify runs whose report is pinned: the CLI's default seed, two others
-# and one with the noisy-sign grid
+# the verify runs whose report, noisy-sign grid included, is pinned: the
+# CLI's default seed and three others
 VERIFY_RUNS = (
     ["verify", "--seed", "0"],
     ["verify", "--seed", "5"],
     ["verify", "--seed", "202"],
-    ["verify", "--seed", "7", "--report-discrepancies"],
+    ["verify", "--seed", "7"],
 )
 
 # SHA-256 over every verify run's argv and its whole stdout
-VERIFY_DIGEST = "fe381db830fcae55eba3d7c893b2598ba743ee5f0416f68d35686dd9d509dc5f"
+VERIFY_DIGEST = "27aa80f29abdea4901b1d876808dd0cbdd235dd1873f7e80d2c5953776430f58"
 
 
 def test_golden_verify_report(capsys):
@@ -423,6 +423,25 @@ def test_cross_check_draws_are_per_call_draws(seed, monkeypatch):
     assert len(singles) == 2
     for got, model in zip(singles, (EnsembleDep(), Sign())):
         assert same_bits(got, np.array([e_closed(model, ta, tb) for ta, tb in pairs]))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_cross_check_pieces_are_the_one_draw_vectors(seed, monkeypatch):
+    # past one piece the vectors are drawn and decided 4096 at a time; the
+    # pieces, joined, are the doubles of one draw of all the vectors
+    batches = []
+
+    def recording_many(es, marginals):
+        batches.append(np.array(es))
+        return fine_feasible_many(es, marginals)
+
+    monkeypatch.setattr(analysis, "fine_feasible_many", recording_many)
+    n = 2 * BLOCK + 5
+    ok, detail = cli._check_feasibility_cross(RngStream(seed), n)
+    assert ok and detail.startswith(f"{n} random vectors, 0 disagreements;")
+    assert [len(batch) for batch in batches] == [BLOCK, BLOCK, 5]
+    want = np.random.default_rng(seed + 99).uniform(-0.25, 0.25, size=(n, 4))
+    assert same_bits(np.concatenate(batches), want)
 
 
 def reference_fine_feasible(correlations, marginals):
