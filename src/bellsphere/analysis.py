@@ -361,7 +361,8 @@ def _cone():
     of G (24, 13) is a facet's unit normal n, in the span and pointing in,
     times its largest entry |n|_inf (see :func:`_decide`).
     ``simplices`` (64, 9) are the atoms of a pulling triangulation built
-    from the facets' atoms; P stacks their pseudo-inverses, (64 * 9, 13).
+    from the facets' atoms; P stacks their pseudo-inverses coefficient-major,
+    (9 * 64, 13): row 64 j + s gives coefficient j on simplex s.
     """
     u, s, _ = np.linalg.svd(_FEASIBILITY_MATRIX)
     basis = u[:, : np.count_nonzero(s > 1e-9 * s[0])]
@@ -382,7 +383,8 @@ def _cone():
     g *= np.abs(g).max(axis=1, keepdims=True)
     facets = [frozenset(np.flatnonzero(t).tolist()) for t in tight]
     simplices = np.array(_pulling(frozenset(range(16)), len(atoms), atoms, facets))
-    pinv = np.linalg.pinv(_FEASIBILITY_MATRIX.T[simplices].transpose(0, 2, 1)).reshape(-1, 13)
+    pinv = np.linalg.pinv(_FEASIBILITY_MATRIX.T[simplices].transpose(0, 2, 1))
+    pinv = pinv.transpose(1, 0, 2).reshape(-1, 13)
     for shared in (g, simplices, pinv):  # every caller gets these same arrays
         shared.setflags(write=False)
     return g, simplices, pinv
@@ -418,10 +420,11 @@ def _decide(correlations, marginals, ndim) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need 4 correlations and 8 marginals")
     if not np.isfinite(es).all():
         raise ValueError(_NOT_FINITE)
-    for value in p.tolist():
+    values = p.tolist()
+    for value in values:
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise ValueError(f"marginal out of [0, 1]: {value!r}")
-    for obs_axis, (plus, minus) in enumerate(p.reshape(4, 2).tolist()):
+    for obs_axis, (plus, minus) in enumerate(zip(values[::2], values[1::2])):
         if abs(plus + minus - 1.0) > 1e-9:
             raise ValueError(
                 f"marginals for observable {obs_axis} sum to {plus + minus!r}, not 1"
@@ -458,10 +461,10 @@ def fine_feasible(correlations, marginals) -> tuple[bool, JointTable | None]:
     if not feasible[0]:
         return False, None
     _, simplices, pinv = _cone()
-    xs = (pinv @ b_eq[0]).reshape(simplices.shape)
-    best = np.argmax(np.minimum.reduce(xs, axis=1))
+    xs = pinv.dot(b_eq[0]).reshape(-1, len(simplices))
+    best = np.minimum.reduce(xs, axis=0).argmax()
     x = np.zeros(16)
-    x[simplices[best]] = np.maximum(xs[best], 0.0)
+    x[simplices[best]] = np.maximum(xs[:, best], 0.0)
     return True, JointTable(x.reshape(2, 2, 2, 2))
 
 

@@ -366,23 +366,14 @@ def _check_lune_matches_sign_form():
 
 
 def _check_enumeration_grids():
+    sign, noisy, ensemble = detectors.Sign(), detectors.StochasticSign(), detectors.EnsembleDep()
     worst = 0.0
-    for d in np.linspace(0.0, math.pi, 100):
-        d = float(d)
+    for d in np.linspace(0.0, math.pi, 100).tolist():
         worst = max(
             worst,
-            abs(
-                oracles.enumerate_pointlike_E(detectors.Sign(), d)
-                - analysis.e_closed(detectors.Sign(), 0.0, d)
-            ),
-            abs(
-                oracles.enumerate_pointlike_E(detectors.StochasticSign(), d)
-                - analysis.e_closed(detectors.StochasticSign(), 0.0, d)
-            ),
-            abs(
-                oracles.enumerate_ensemble_E(d)
-                - analysis.e_closed(detectors.EnsembleDep(), 0.0, d)
-            ),
+            abs(oracles.enumerate_pointlike_E(sign, d) - analysis.e_closed(sign, 0.0, d)),
+            abs(oracles.enumerate_pointlike_E(noisy, d) - analysis.e_closed(noisy, 0.0, d)),
+            abs(oracles.enumerate_ensemble_E(d) - analysis.e_closed(ensemble, 0.0, d)),
         )
     return worst <= 1e-12, f"max |enumeration - closed| = {worst:.3g} (tol 1e-12)"
 
@@ -401,38 +392,36 @@ def _check_mean_preservation(rng: RngStream):
         p_plus, p_minus = detectors.outcome_probabilities(ensemble, axis)
         worst_closed = max(worst_closed, abs(0.5 * p_plus - 0.5 * p_minus - mean))
         if i < 5:  # Monte Carlo spot checks
-            u = rng.split(300 + i).uniform(n)
-            sampled = np.where(u < p_plus, 0.5, -0.5)
-            # the outcome's own spread, not the sample's: when every draw
-            # agrees the sample spread is 0 although p_minus is not
-            diff = abs(float(np.mean(sampled)) - mean)
+            plus = np.count_nonzero(rng.split(300 + i).uniform(n) < p_plus)
+            # the +-1/2 outcomes' mean from their count (their sum is exact);
+            # z against the outcome's own spread, not the sample's, which is
+            # 0 when every draw agrees although p_minus is not
+            diff = abs(0.5 * (2 * plus - n) / n - mean)
             z = diff / math.sqrt(p_plus * p_minus / n) if diff > 0.0 else 0.0
             worst_z = max(worst_z, z)
     ok = worst_closed <= 1e-12 and worst_z <= 5.0
     return ok, f"closed residual {worst_closed:.3g} (tol 1e-12), max |z| = {worst_z:.2f}"
 
 
-def _plus_share(a: Axis, b: Axis, n: int, stream: RngStream) -> float:
-    """Share of ``n`` ensemble pairs, particle 1 along ``a`` and particle 2
-    along ``b``, whose particle 1 reads +1/2.  The pairs are drawn from
+def _plus_share(n: int, stream: RngStream) -> float:
+    """Share of ``n`` ensemble pairs whose particle 1 reads +1/2, counted
+    from the draws :func:`detectors.measure_pair_batch` takes, by the
+    detector's own rule, which reads neither axis.  The pairs are drawn from
     ``stream`` one piece at a time; consecutive pieces of one stream are the
     doubles one draw of ``n`` pairs would be."""
     plus = 0
     for start in range(0, n, _PIECE_PAIRS):
-        o1, _ = detectors.measure_pair_batch(
-            detectors.EnsembleDep(), distributions.StaticSphere(), a, b,
-            min(_PIECE_PAIRS, n - start), stream,
-        )
-        plus += np.count_nonzero(o1 > 0)
+        draws = stream.uniform((min(_PIECE_PAIRS, n - start), 2))
+        plus += np.count_nonzero(detectors.ensemble_plus1(draws))
     return plus / n
 
 
 def _check_parameter_independence(rng: RngStream):
+    # particle 1's share on the stream of each distant axis i pi/8
     n = 100_000
-    a = Axis(0.3)
     worst = 0.0
     for i in range(8):
-        p_hat = _plus_share(a, Axis(i * math.pi / 8), n, rng.split(400 + i))
+        p_hat = _plus_share(n, rng.split(400 + i))
         worst = max(worst, abs(p_hat - 0.5) / math.sqrt(0.25 / n))
     return worst <= 5.0, f"max |z| over 8 distant axes = {worst:.2f} (tol 5 sigma)"
 

@@ -115,6 +115,11 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
     return np.subtract(plus, 0.5)
 
 
+def ensemble_plus1(draws) -> np.ndarray:
+    """Particle 1's +1/2 mask from (n, 2) ensemble pair draws: full sphere, u1 < 1/2."""
+    return draws[:, 0] < 0.5
+
+
 def _flip(plus, flips, p_hi: float):
     """StochasticSign's +1/2 mask from its sign mask ``plus`` (overwritten):
     the sign is kept where the flip draw is below ``p_hi``."""
@@ -256,7 +261,7 @@ def _chunk_sums(model, source, axes_a, axes_b, draws, flips, bounds):
     if isinstance(model, EnsembleDep):
         # u2 is copied out of the draws: compares on a contiguous copy are
         # cheaper than on the strided column, and there are 2 m_a m_b of them
-        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1].copy()
+        plus1, u2 = ensemble_plus1(draws), draws[:, 1].copy()
         minus1 = ~plus1
         # particle 2 occupies the opposite hemisphere about a_i, and reads
         # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
@@ -305,7 +310,7 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     """
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
-        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1]
+        plus1, u2 = ensemble_plus1(draws), draws[:, 1]
         c = math.cos(angle_delta(a.theta, b.theta))
         plus2 = (plus1 & (u2 < 0.5 * (1.0 - c))) | (~plus1 & (u2 < 0.5 * (1.0 + c)))
         return np.subtract(plus1, 0.5), np.subtract(plus2, 0.5)

@@ -38,10 +38,11 @@ def quad_expectation(f) -> float:
     whole u-rows, one chunk held at a time, coordinate-major: ``f`` gets the
     (m, 3) transpose of a (3, m) buffer whose x, y and z rows are contiguous.
 
-    Each chunk's values are summed on their own; the 16 sums are then added
-    in pairs, pairs of pairs and so on.  NumPy sums 2^20 contiguous values
-    pairwise, halving down to 65,536-value blocks, so this is its tree and
-    the result is ``np.mean`` of all the values bit for bit.
+    Each chunk's values, one per node (else ValueError), are summed where
+    ``f`` left them, copied only if not contiguous float64; the 16 sums are
+    added in pairs, pairs of pairs and so on.  NumPy sums 2^20 contiguous
+    values pairwise, halving down to 65,536-value blocks, so this is its
+    tree and the result is ``np.mean`` of all the values bit for bit.
     """
     n = _QUAD_NODES
     u = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
@@ -49,14 +50,15 @@ def quad_expectation(f) -> float:
     r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     points = np.empty((3, _QUAD_ROWS, n))
-    values = np.empty(_QUAD_ROWS * n)
     sums = []
     for start in range(0, n, _QUAD_ROWS):
         rows = slice(start, start + _QUAD_ROWS)
         np.multiply(r[rows], cos_phi, out=points[0])
         np.multiply(r[rows], sin_phi, out=points[1])
         points[2] = u[rows, None]
-        values[:] = f(points.reshape(3, -1).T)
+        values = np.ascontiguousarray(f(points.reshape(3, -1).T), dtype=float)
+        if values.shape != (_QUAD_ROWS * n,):
+            raise ValueError(f"f gave shape {values.shape}, not one value per node")
         sums.append(np.add.reduce(values))
     while len(sums) > 1:  # 16 chunk sums: four rounds of pairs
         sums = [x + y for x, y in zip(sums[::2], sums[1::2])]

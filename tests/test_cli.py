@@ -15,10 +15,16 @@ import pytest
 
 import bellsphere.oracles
 from bellsphere import (
+    Axis,
+    EnsembleDep,
+    Hemisphere,
     RotatingHemispheres,
     StaticSphere,
     SweepTable,
+    ensemble_mean_projection,
+    measure_pair_batch,
     model_from_name,
+    outcome_probabilities,
     sweep_chsh,
 )
 from bellsphere.cli import (
@@ -26,6 +32,7 @@ from bellsphere.cli import (
     CORRELATION_COLUMNS,
     _check_feasibility_cross,
     _check_mean_preservation,
+    _check_parameter_independence,
     _format_cell,
     _render,
     _sweep_chunks,
@@ -606,6 +613,40 @@ class TestVerify:
         # own spread, not the sample's
         ok, detail = _check_mean_preservation(RngStream(seed))
         assert ok, detail
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sampled_checks_are_their_first_forms(self, seed):
+        # the two sampled checks count +1/2 outcomes straight from their
+        # draws; restated with the +-1/2 outcomes built and averaged, and
+        # with particle 1's outcomes measured pair by pair along each distant
+        # axis, they print the same details
+        rng, n = RngStream(seed), 100_000
+        gen = np.random.default_rng(seed + 20)
+        worst_closed = worst_z = 0.0
+        for i in range(20):
+            ensemble = Hemisphere(
+                Axis(float(gen.uniform(0.0, 2.0 * math.pi))), 1 if gen.uniform() < 0.5 else -1
+            )
+            axis = Axis(float(gen.uniform(0.0, 2.0 * math.pi)))
+            mean = ensemble_mean_projection(ensemble, axis)
+            p_plus, p_minus = outcome_probabilities(ensemble, axis)
+            worst_closed = max(worst_closed, abs(0.5 * p_plus - 0.5 * p_minus - mean))
+            if i < 5:
+                sampled = np.where(rng.split(300 + i).uniform(n) < p_plus, 0.5, -0.5)
+                diff = abs(float(np.mean(sampled)) - mean)
+                z = diff / math.sqrt(p_plus * p_minus / n) if diff > 0.0 else 0.0
+                worst_z = max(worst_z, z)
+        want = f"closed residual {worst_closed:.3g} (tol 1e-12), max |z| = {worst_z:.2f}"
+        assert _check_mean_preservation(RngStream(seed)) == (worst_z <= 5.0, want)
+        worst = 0.0
+        for i in range(8):
+            o1, _ = measure_pair_batch(
+                EnsembleDep(), StaticSphere(), Axis(0.3), Axis(i * math.pi / 8), n,
+                rng.split(400 + i),
+            )
+            worst = max(worst, abs(float(np.mean(o1 > 0)) - 0.5) / math.sqrt(0.25 / n))
+        want = f"max |z| over 8 distant axes = {worst:.2f} (tol 5 sigma)"
+        assert _check_parameter_independence(RngStream(seed)) == (worst <= 5.0, want)
 
     def test_report_discrepancies_prints_grid(self):
         # the oracle-vs-alt-form grid is part of every report

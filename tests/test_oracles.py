@@ -89,6 +89,18 @@ class TestQuadExpectation:
         # tree np.mean builds over all 2^20 values, so chunking changes no bit
         assert quad_expectation(integrand) == float(np.mean(integrand(meshgrid_nodes())))
 
+    def test_values_are_float64_one_per_node(self):
+        # f's values are summed where f left them: other dtypes are taken as
+        # float64 first, and a shape other than one value per node raises
+        z_sq = INTEGRANDS[0]
+        assert quad_expectation(lambda pts: z_sq(pts).astype(np.float32)) == float(
+            np.mean(z_sq(meshgrid_nodes()).astype(np.float32).astype(float))
+        )
+        assert quad_expectation(lambda pts: pts[:, 2] >= 0.0) == 0.5
+        for wrong in (lambda pts: 1.0, lambda pts: pts[:, 2:], lambda pts: pts[:-1, 2]):
+            with pytest.raises(ValueError, match="not one value per node"):
+                quad_expectation(wrong)
+
     def test_verify_moments_are_pinned(self):
         z_sq, half_projection = INTEGRANDS
         assert quad_expectation(z_sq) == 0.33333301544189453

@@ -385,12 +385,14 @@ def test_quarter_sums_are_exact_counts(n, p_plus, seed):
 
 @pytest.mark.parametrize("seed", [0, 5, 7, 202, 2**64 - 1])
 def test_plus_share_is_the_one_batch_share(seed):
-    # the distant-axis check draws each axis's pairs in 4096-pair pieces
+    # the distant-axis check draws each axis's pairs in 4096-pair pieces and
+    # counts particle 1's +1/2 outcomes from the draws alone: the share is
+    # that of one batch of measured pairs along every distant axis
     rng = RngStream(seed)
     a = Axis(0.3)
     for i, n in itertools.product(range(8), (100_000, 1, 4096, 4097, 12_345)):
         b = Axis(i * math.pi / 8)
-        got = cli._plus_share(a, b, n, rng.split(400 + i))
+        got = cli._plus_share(n, rng.split(400 + i))
         o1, _ = measure_pair_batch(EnsembleDep(), StaticSphere(), a, b, n, rng.split(400 + i))
         assert same_bits(got, np.mean(o1 > 0))
 
@@ -640,6 +642,47 @@ def test_one_vector_and_empty_batches():
         assert decided.dtype == bool and decided.shape == (0,)
 
 
+def reference_witness_route(correlations, marginals, cone):
+    # fine_feasible's one-vector route as first written on the facets: the
+    # right-hand side in one row, its decision, and the witness from the
+    # simplex-major pseudo-inverses, its smallest coefficient per row of 9
+    g, simplices, pinv = cone
+    b_eq = np.array([[1.0, *np.asarray(correlations, dtype=float), *marginals]])
+    if not np.minimum.reduce(b_eq @ g.T, axis=1)[0] >= -1e-9:
+        return False, None
+    xs = (pinv @ b_eq[0]).reshape(simplices.shape)
+    best = np.argmax(np.minimum.reduce(xs, axis=1))
+    x = np.zeros(16)
+    x[simplices[best]] = np.maximum(xs[best], 0.0)
+    return True, np.maximum(x.reshape(2, 2, 2, 2), 0.0)
+
+
+def test_one_vector_route_is_its_first_form():
+    # decisions and witness tables bit for bit, at the C = 2 boundary pushed
+    # inside, outside and into the 1e-9 band, and on random vectors; each
+    # decision is also the batch route's on that row
+    cone = reference_cone()
+    gen = np.random.default_rng(27)
+    half = [0.5] * 8
+    cases = [
+        *feasibility_cases(),
+        *((es, half) for es in sign_boundary_maxima((1 - 1e-7, 1 + 1e-7, 1 - 1e-8, 1 + 1e-8,
+                                                     1 + 5e-9))),
+        *((es, half) for es in gen.uniform(-0.25, 0.25, size=(2000, 4))),
+    ]
+    rows = {}
+    for es, marginals in cases:
+        feasible, table = fine_feasible(es, marginals)
+        want_feasible, want_probs = reference_witness_route(es, marginals, cone)
+        assert feasible is want_feasible, (es, marginals)
+        assert (table is None) if want_probs is None else same_bits(table.probs, want_probs)
+        rows.setdefault(tuple(marginals), []).append((es, feasible))
+    for marginals, decided in rows.items():
+        batch = fine_feasible_many(np.array([es for es, _ in decided]), list(marginals))
+        assert batch.tolist() == [feasible for _, feasible in decided], marginals
+    assert {feasible for decided in rows.values() for _, feasible in decided} == {True, False}
+
+
 def reference_cone():
     # the derivation as first written: one batched complete QR over all
     # 12,870 8-atom subsets at once
@@ -664,6 +707,9 @@ def reference_cone():
 
 def test_cone_is_the_one_batch_derivation():
     # the subsets go through the QR a piece at a time, each matrix factored
-    # on its own, so the facets, simplices and pseudo-inverses keep every bit
-    for got, want in zip(analysis._cone(), reference_cone()):
+    # on its own, so the facets, simplices and pseudo-inverses keep every bit;
+    # _cone keeps the pseudo-inverses' rows coefficient-major
+    g, simplices, pinv = reference_cone()
+    pinv = pinv.reshape(*simplices.shape, 13).transpose(1, 0, 2).reshape(-1, 13)
+    for got, want in zip(analysis._cone(), (g, simplices, pinv), strict=True):
         assert same_bits(got, want)
