@@ -418,7 +418,7 @@ def _decide(correlations, marginals, ndim) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(marginals, dtype=float)
     if es.ndim != ndim or es.shape[-1:] != (4,) or p.shape != (8,):
         raise ValueError("need 4 correlations and 8 marginals")
-    if not np.isfinite(es).all():
+    if not np.logical_and.reduce(np.isfinite(es), axis=None):
         raise ValueError(_NOT_FINITE)
     values = p.tolist()
     for value in values:
@@ -490,7 +490,7 @@ def chsh_inequalities_hold(correlations):
     es = np.asarray(correlations, dtype=float)
     if es.ndim not in (1, 2) or es.shape[-1] != 4:
         raise ValueError(f"need 4 correlations per vector, got shape {es.shape}")
-    if not np.isfinite(es).all():
+    if not np.logical_and.reduce(np.isfinite(es), axis=None):
         raise ValueError(_NOT_FINITE)
     e_ab, e_abp, e_apb, e_apbp = es.T
     # each sum left to right, as the sum of a list of the four signed terms

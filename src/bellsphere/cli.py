@@ -264,10 +264,17 @@ def _signed(value: float) -> str:
     return f"{round(value, 6) + 0.0:+.6f}"
 
 
+# most trials per step: the traced peak of a step is about 39 MiB per million
+# trials, so the cap holds it near 0.4 GB
+SEQUENTIAL_MAX_TRIALS = 10_000_000
+
+
 def cmd_sequential(args) -> int:
     axes = [Axis(t) for t in parse_angle_list(args.axes)]
     if args.trials < 2:
         raise ValueError("--trials must be at least 2 for a standard error")
+    if args.trials > SEQUENTIAL_MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {SEQUENTIAL_MAX_TRIALS}, got {args.trials}")
     if args.initial == "sphere":
         e0 = distributions.FullSphere()
     else:
@@ -331,9 +338,10 @@ def _check_ring_mean():
 
 
 def _check_sphere_moments():
-    z_sq = oracles.quad_expectation(lambda pts: pts[:, 2] ** 2)
     axis = Axis(0.9)
-    half = oracles.quad_expectation(lambda pts: np.maximum(project(pts, axis), 0.0))
+    z_sq, half = oracles.quad_expectation(
+        lambda pts: pts[:, 2] ** 2, lambda pts: np.maximum(project(pts, axis), 0.0)
+    )
     err = max(abs(z_sq - 1.0 / 3.0), abs(half - 0.25))
     return err <= 1e-6, f"worst moment error = {err:.3g} (tol 1e-06)"
 

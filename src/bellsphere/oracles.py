@@ -18,7 +18,7 @@ from .detectors import DetectorModel, Sign, StochasticSign
 
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 1024  # midpoint nodes per axis of the sphere quadrature grid
-_QUAD_ROWS = 64  # u-rows per chunk: 16 chunks of 65,536 nodes
+_QUAD_ROWS = 32  # u-rows per chunk: 32 chunks of 32,768 nodes, 768 KiB
 
 
 def _reduced(delta: float) -> float:
@@ -26,7 +26,7 @@ def _reduced(delta: float) -> float:
     return abs(math.remainder(delta, _TWO_PI))
 
 
-def quad_expectation(f) -> float:
+def quad_expectation(f, *more) -> float | tuple[float, ...]:
     """Sphere average (1/4pi) integral of f dOmega by the midpoint rule.
 
     ``f`` maps an (m, 3) array of unit vectors to (m,) values, node by node.
@@ -34,35 +34,42 @@ def quad_expectation(f) -> float:
     node weights equal, so the average is the mean of f over the grid.  The
     error falls off as the square of the grid spacing for smooth integrands:
     for f = z^2 it is exactly 1/(3 * 1024^2).  The nodes (r = sqrt(1 - u^2)
-    per u, cos phi and sin phi per phi) reach f u-major, in 16 chunks of 64
-    whole u-rows, one chunk held at a time, coordinate-major: ``f`` gets the
-    (m, 3) transpose of a (3, m) buffer whose x, y and z rows are contiguous.
+    per u, cos phi and sin phi per phi) reach f u-major, in 32 chunks of 32
+    whole u-rows, one 768 KiB chunk held at a time, coordinate-major: ``f``
+    gets the read-only (m, 3) transpose of a (3, m) buffer whose x, y and z
+    rows are contiguous.  Integrands in ``more`` get the same chunks in the
+    same pass, and the averages come back as a tuple in order.
 
     Each chunk's values, one per node (else ValueError), are summed where
-    ``f`` left them, copied only if not contiguous float64; the 16 sums are
-    added in pairs, pairs of pairs and so on.  NumPy sums 2^20 contiguous
-    values pairwise, halving down to 65,536-value blocks, so this is its
-    tree and the result is ``np.mean`` of all the values bit for bit.
+    the integrand left them, copied only if not contiguous float64; the 32
+    sums are added in pairs, pairs of pairs and so on.  NumPy sums 2^20
+    contiguous values pairwise, halving down to 32,768-value blocks, so this
+    is its tree and each result is ``np.mean`` of its values bit for bit.
     """
+    fs = (f, *more)
     n = _QUAD_NODES
     u = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     phi = (np.arange(n) + 0.5) * (_TWO_PI / n)
     r = np.sqrt(np.maximum(1.0 - u * u, 0.0))[:, None]
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     points = np.empty((3, _QUAD_ROWS, n))
-    sums = []
-    for start in range(0, n, _QUAD_ROWS):
+    nodes = points.reshape(3, -1).T  # a view: every chunk lands in it
+    nodes.flags.writeable = False
+    sums = np.empty((n // _QUAD_ROWS, len(fs)))
+    for chunk, start in enumerate(range(0, n, _QUAD_ROWS)):
         rows = slice(start, start + _QUAD_ROWS)
         np.multiply(r[rows], cos_phi, out=points[0])
         np.multiply(r[rows], sin_phi, out=points[1])
         points[2] = u[rows, None]
-        values = np.ascontiguousarray(f(points.reshape(3, -1).T), dtype=float)
-        if values.shape != (_QUAD_ROWS * n,):
-            raise ValueError(f"f gave shape {values.shape}, not one value per node")
-        sums.append(np.add.reduce(values))
-    while len(sums) > 1:  # 16 chunk sums: four rounds of pairs
-        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
-    return float(sums[0] / (n * n))
+        for i, g in enumerate(fs):
+            values = np.ascontiguousarray(g(nodes), dtype=float)
+            if values.shape != (len(nodes),):
+                raise ValueError(f"f gave shape {values.shape}, not one value per node")
+            sums[chunk, i] = np.add.reduce(values)
+    while len(sums) > 1:  # 32 chunk sums: five rounds of pairs
+        sums = sums[::2] + sums[1::2]
+    means = (sums[0] / (n * n)).tolist()
+    return tuple(means) if more else means[0]
 
 
 def _sign_outcome_weight(outcome: float, sign: int, p_hi: float) -> float:

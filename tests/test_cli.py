@@ -556,6 +556,16 @@ class TestSequential:
         assert captured.out == ""
         assert "--trials must be at least 2" in captured.err
 
+    def test_trials_above_the_cap_is_usage_error(self, capsys):
+        # refused before any line is printed or any draw is allocated
+        argv = ["sequential", "--axes", "0", "--trials", "1000000000000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "bellsphere: error: --trials must be at most 10000000, got 1000000000000\n"
+        )
+
     def test_zero_prints_without_a_minus_sign(self, capsys):
         # after a step perpendicular to the one before, cos(pi/2) leaves some
         # exact zeros a few ulps below 0; they print as +0.000000

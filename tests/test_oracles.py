@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -21,7 +22,7 @@ from bellsphere import (
 )
 
 N = 1024  # quad_expectation's nodes per axis
-CHUNK_NODES = 65_536  # nodes quad_expectation hands to f at once
+CHUNK_NODES = 32_768  # nodes quad_expectation hands to f at once
 INTEGRANDS = (
     lambda pts: pts[:, 2] ** 2,
     lambda pts: np.maximum(project(pts, Axis(0.9)), 0.0),
@@ -67,7 +68,7 @@ class TestQuadExpectation:
 
     def test_nodes_match_meshgrid_construction(self):
         # every chunk f receives, joined in order, is compared bit for bit with
-        # the nodes computed on the full meshgrid: 16 chunks of 64 whole u-rows
+        # the nodes computed on the full meshgrid: 32 chunks of 32 whole u-rows
         seen = []
 
         def capture(pts):
@@ -75,7 +76,7 @@ class TestQuadExpectation:
             return pts[:, 2]
 
         quad_expectation(capture)
-        assert [chunk.shape for chunk in seen] == [(CHUNK_NODES, 3)] * 16
+        assert [chunk.shape for chunk in seen] == [(CHUNK_NODES, 3)] * 32
         nodes = np.concatenate(seen)
         assert nodes.tobytes() == meshgrid_nodes().tobytes()
 
@@ -85,7 +86,7 @@ class TestQuadExpectation:
         ids=["z_sq", "half_projection", "rough_sin", "rough_exp", "rough_mixed"],
     )
     def test_chunked_mean_is_one_shot_mean(self, integrand):
-        # f acts per node, and the 16 chunk sums are added in the pairwise
+        # f acts per node, and the 32 chunk sums are added in the pairwise
         # tree np.mean builds over all 2^20 values, so chunking changes no bit
         assert quad_expectation(integrand) == float(np.mean(integrand(meshgrid_nodes())))
 
@@ -101,19 +102,43 @@ class TestQuadExpectation:
             with pytest.raises(ValueError, match="not one value per node"):
                 quad_expectation(wrong)
 
+    def test_one_pass_is_one_call_per_integrand(self):
+        # several integrands in one pass: each is handed every chunk in turn,
+        # the same read-only nodes, and each average is its own call's bits
+        integrands = INTEGRANDS + ROUGH_INTEGRANDS
+        calls = []
+
+        def recording(i, g):
+            def f(pts):
+                assert not pts.flags.writeable
+                calls.append((i, hashlib.sha256(pts.tobytes()).hexdigest()))
+                return g(pts)
+
+            return f
+
+        means = quad_expectation(*(recording(i, g) for i, g in enumerate(integrands)))
+        assert means == tuple(quad_expectation(g) for g in integrands)
+        assert all(type(mean) is float for mean in means)
+        chunks = np.split(meshgrid_nodes(), 32)
+        assert calls == [
+            (i, hashlib.sha256(chunk.tobytes()).hexdigest())
+            for chunk in chunks
+            for i in range(len(integrands))
+        ]
+
     def test_verify_moments_are_pinned(self):
         z_sq, half_projection = INTEGRANDS
         assert quad_expectation(z_sq) == 0.33333301544189453
         assert quad_expectation(half_projection) == 0.24999995338494274
 
     def test_peak_memory_is_one_chunk(self):
-        # one (65,536, 3) node chunk, the chunk's (65,536,) values and a few
+        # one (32,768, 3) node chunk, the chunk's (32,768,) values and a few
         # temporaries of f; the values of the whole grid alone were 8 MiB
         mib = 2**20
         chunk = CHUNK_NODES * 3 * 8
         temporary = CHUNK_NODES * 8
         bound = chunk + 5 * temporary
-        assert bound == 4 * mib
+        assert bound == 2 * mib
         tracemalloc.start()
         try:
             quad_expectation(INTEGRANDS[1])
