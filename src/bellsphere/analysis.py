@@ -163,28 +163,26 @@ def estimate_correlation(
     )
 
 
-def _chsh_scan(model, axes, mode, n, rng, source):
+def _chsh_scan(model, axes, n, rng, source):
     """CHSH at every quadruple of the angle lists ``axes = (a, b, a', b')``, each
     of length m; returns (first maximal :class:`ChshResult`, C values,
     violated flags), the arrays indexed by positions (i, j, k, l) in
     (a, b, a', b').
 
     Correlations come as one m x m table per role (ab, ab', a'b, a'b') and C
-    is broadcast over the m^4 quadruples.  Monte Carlo role k draws its n
-    pairs once, block i on ``rng.split(k).split(i)``, and fills its whole
-    table from them: entries within a role share draws, while a quadruple's
-    four correlations come from the four roles and so stay independent
-    experiments even when roles share axes.
+    is broadcast over the m^4 quadruples.  Given ``rng``, Monte Carlo role k
+    draws its n pairs once, block i on ``rng.split(k).split(i)``, and fills
+    its whole table from them: entries within a role share draws, while a
+    quadruple's four correlations come from the four roles and so stay
+    independent experiments even when roles share axes.  Without ``n`` and
+    ``rng`` the closed forms fill the tables.
     """
-    if mode not in ("closed", "montecarlo"):
-        raise ValueError(f"mode must be 'closed' or 'montecarlo', got {mode!r}")
+    if (n is None) != (rng is None):
+        raise ValueError("Monte Carlo needs both n and rng; the closed forms take neither")
     a, b, a_prime, b_prime = axes
     m = len(a)
     roles = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
-    if mode == "montecarlo":
-        if n is None or rng is None:
-            raise ValueError("montecarlo mode needs n and rng")
-        source = source if source is not None else StaticSphere()
+    if rng is not None:
         tables = [
             _role_table(model, source, xs, ys, n, rng.split(k))
             for k, (xs, ys) in enumerate(roles)
@@ -225,21 +223,21 @@ def _chsh_scan(model, axes, mode, n, rng, source):
 def chsh(
     model: DetectorModel,
     angles: tuple[float, float, float, float],
-    mode: str = "closed",
     n: int | None = None,
     rng: RngStream | None = None,
-    source: PairSource | None = None,
+    source: PairSource = StaticSphere(),
 ) -> ChshResult:
     """Evaluate the CHSH combination at angles (a, b, a', b'), the
-    one-quadruple sweep: Monte Carlo role k (ab, ab', a'b, a'b') draws from
-    ``rng.split(k)``.
+    one-quadruple sweep.
 
-    ``mode="closed"`` uses the closed forms and flags a violation when
-    C > 2 + 1e-9; ``mode="montecarlo"`` estimates each of the four pair
-    correlations with ``n >= 2`` trials and flags one when C exceeds 2 by at
-    least three propagated standard errors.
+    Without ``n`` and ``rng`` it uses the closed forms and flags a violation
+    when C > 2 + 1e-9.  Given both, it estimates each of the four pair
+    correlations from ``n >= 2`` pairs of ``source``, role k (ab, ab', a'b,
+    a'b') drawing from ``rng.split(k)``, and flags one when C exceeds 2 by
+    at least three propagated standard errors.  One of the two alone raises
+    ValueError.
     """
-    return _chsh_scan(model, [[t] for t in angles], mode, n, rng, source)[0]
+    return _chsh_scan(model, [[t] for t in angles], n, rng, source)[0]
 
 
 @dataclass(frozen=True)
@@ -257,10 +255,9 @@ class SweepTable:
 def sweep_chsh(
     model: DetectorModel,
     grid_step: float,
-    mode: str = "closed",
     n: int | None = None,
     rng: RngStream | None = None,
-    source: PairSource | None = None,
+    source: PairSource = StaticSphere(),
 ) -> tuple[ChshResult, SweepTable]:
     """Exhaustive CHSH scan over all angle quadruples on a grid of spacing
     ``grid_step`` covering [0, pi); returns (first maximal result, table).
@@ -268,8 +265,9 @@ def sweep_chsh(
     The step must divide pi; correlations depend only on reduced axis
     separations, so the [0, pi) grid already realizes every quadruple of
     separations the full circle would; the m^4 values are held in memory, so
-    it is at least pi/16.  Monte Carlo mode draws n pairs per CHSH role and
-    measures them along all m axes (see :func:`_chsh_scan`).
+    it is at least pi/16.  Given ``n`` and ``rng``, as :func:`chsh` is, it
+    draws n pairs per CHSH role and measures them along all m axes (see
+    :func:`_chsh_scan`).
     """
     if not grid_step >= math.pi / SWEEP_MAX_STEPS * (1.0 - 1e-9):
         raise ValueError(f"grid_step must be at least pi/{SWEEP_MAX_STEPS}, got {grid_step!r}")
@@ -278,7 +276,7 @@ def sweep_chsh(
     if m < 1 or abs(ratio - m) > 1e-9:
         raise ValueError(f"grid_step must divide pi, got {grid_step!r}")
     grid = [i * grid_step for i in range(m)]
-    best, c_values, violated = _chsh_scan(model, [grid] * 4, mode, n, rng, source)
+    best, c_values, violated = _chsh_scan(model, [grid] * 4, n, rng, source)
     return best, SweepTable(grid, c_values, violated, best.v_max)
 
 
@@ -296,10 +294,11 @@ class JointTable:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (2, 2, 2, 2):
             raise ValueError(f"expected shape (2, 2, 2, 2), got {probs.shape}")
-        # the ufuncs' own reduces: min() and sum() add a Python wrapper
-        if np.minimum.reduce(probs, axis=None) < -1e-9:
+        # the ufuncs' own reduces: min() and sum() add a Python wrapper;
+        # written as accept tests, so a NaN entry fails both
+        if not np.minimum.reduce(probs, axis=None) >= -1e-9:
             raise ValueError("joint table entries must be nonnegative")
-        if abs(np.add.reduce(probs, axis=None) - 1.0) > 1e-6:
+        if not abs(np.add.reduce(probs, axis=None) - 1.0) <= 1e-6:
             raise ValueError("joint table must sum to 1")
         self.probs = np.maximum(probs, 0.0)
 

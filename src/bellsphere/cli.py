@@ -160,17 +160,22 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
+def _scan_options(args) -> dict:
+    # --mode as chsh's and sweep_chsh's keywords, n and rng for Monte Carlo;
+    # the stream is keyed in every mode, so the seed's range is always checked
+    rng = RngStream(args.seed)
+    options = {"source": _SOURCES[args.source]()}
+    if args.mode == "montecarlo":
+        options.update(n=args.trials, rng=rng)
+    return options
+
+
 def cmd_chsh(args) -> int:
     angles = parse_angle_list(args.angles)
     if len(angles) != 4:
         raise ValueError("--angles needs exactly four comma-separated angles")
     result = analysis.chsh(
-        detectors.model_from_name(args.model, args.p_hi),
-        tuple(angles),
-        mode=args.mode,
-        n=args.trials,
-        rng=RngStream(args.seed),
-        source=_SOURCES[args.source](),
+        detectors.model_from_name(args.model, args.p_hi), tuple(angles), **_scan_options(args)
     )
     row = [getattr(result, c) for c in CHSH_COLUMNS]
     _emit([_render(CHSH_COLUMNS, [row], args.fmt)], args.out)
@@ -222,12 +227,7 @@ def _sweep_chunks(model: str, table: analysis.SweepTable, fmt: str):
 
 def cmd_sweep(args) -> int:
     best, table = analysis.sweep_chsh(
-        detectors.model_from_name(args.model, args.p_hi),
-        args.step,
-        mode=args.mode,
-        n=args.trials,
-        rng=RngStream(args.seed),
-        source=_SOURCES[args.source](),
+        detectors.model_from_name(args.model, args.p_hi), args.step, **_scan_options(args)
     )
     _emit(_sweep_chunks(best.model, table, args.fmt), args.out)
     _summary(
@@ -319,22 +319,34 @@ def cmd_sequential(args) -> int:
 
 # rows per draw of the parameter-independence and feasibility cross-checks
 _PIECE_PAIRS = 4096
+# the separations in [0, pi] at which the closed-form checks compare
+_SEPARATIONS = np.linspace(0.0, math.pi, 100).tolist()
+# (k, k') of the lune table's columns
+_OUTCOME_PAIRS = [(k, kp) for k in (-0.5, 0.5) for kp in (-0.5, 0.5)]
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, the one fold of every tolerance check: a NaN
+    among them is the result, and it passes no ``<=``."""
+    return float(np.max(values))
+
+
+def _within(label: str, deviations, tol: float):
+    worst = _worst(deviations)
+    return worst <= tol, f"max |{label}| = {worst:.3g} (tol {tol:g})"
 
 
 def _check_density_normalization():
-    worst = 0.0
-    for ratio in (0.0, 0.375, 0.625, 0.99):
-        density = distributions.ConfigDensity(1.0, ratio)
-        worst = max(worst, abs(distributions.quad_density_normalization(density) - 1.0))
-    return worst <= 1e-6, f"max |integral - 1| = {worst:.3g} (tol 1e-06)"
+    densities = [distributions.ConfigDensity(1.0, r) for r in (0.0, 0.375, 0.625, 0.99)]
+    deviations = [abs(distributions.quad_density_normalization(x) - 1.0) for x in densities]
+    return _within("integral - 1", deviations, 1e-6)
 
 
 def _check_ring_mean():
-    worst = 0.0
-    for jz0, theta in ((0.625, math.pi / 4), (0.375, 1.1), (0.99, 2.5), (0.0, 0.7)):
-        got = distributions.quad_ring_mean_projection(1.0, jz0, Axis(theta))
-        worst = max(worst, abs(got - jz0 * math.cos(theta)))
-    return worst <= 1e-6, f"max |quad - jz0 cos theta| = {worst:.3g} (tol 1e-06)"
+    cases = ((0.625, math.pi / 4), (0.375, 1.1), (0.99, 2.5), (0.0, 0.7))
+    quads = [distributions.quad_ring_mean_projection(1.0, jz0, Axis(t)) for jz0, t in cases]
+    deviations = [abs(q - jz0 * math.cos(t)) for q, (jz0, t) in zip(quads, cases)]
+    return _within("quad - jz0 cos theta", deviations, 1e-6)
 
 
 def _check_sphere_moments():
@@ -342,54 +354,40 @@ def _check_sphere_moments():
     z_sq, half = oracles.quad_expectation(
         lambda pts: pts[:, 2] ** 2, lambda pts: np.maximum(project(pts, axis), 0.0)
     )
-    err = max(abs(z_sq - 1.0 / 3.0), abs(half - 0.25))
+    err = _worst([abs(z_sq - 1.0 / 3.0), abs(half - 0.25)])
     return err <= 1e-6, f"worst moment error = {err:.3g} (tol 1e-06)"
 
 
-def _check_lune_simplex():
-    worst_sum = 0.0
-    worst_neg = 0.0
-    for d in np.linspace(0.0, math.pi, 100):
-        probs = [
-            analysis.lune_probability(k, kp, float(d))
-            for k in (-0.5, 0.5)
-            for kp in (-0.5, 0.5)
-        ]
-        worst_sum = max(worst_sum, abs(sum(probs) - 1.0))
-        worst_neg = min(worst_neg, min(probs))
+def _check_lune_simplex(lune):
+    worst_sum = _worst([abs(sum(row) - 1.0) for row in lune])
+    worst_neg = float(np.min(lune))
     ok = worst_sum <= 1e-12 and worst_neg >= -1e-12
     return ok, f"max |sum - 1| = {worst_sum:.3g}, min entry = {worst_neg:.3g}"
 
 
-def _check_lune_matches_sign_form():
-    worst = 0.0
-    for d in np.linspace(0.0, math.pi, 100):
-        total = sum(
-            k * kp * analysis.lune_probability(k, kp, float(d))
-            for k in (-0.5, 0.5)
-            for kp in (-0.5, 0.5)
-        )
-        worst = max(worst, abs(total - analysis.e_closed(detectors.Sign(), 0.0, float(d))))
-    return worst <= 1e-12, f"max |sum k k' P - closed| = {worst:.3g} (tol 1e-12)"
+def _check_lune_sign_form(lune):
+    sign = detectors.Sign()
+    totals = [sum(k * kp * p for (k, kp), p in zip(_OUTCOME_PAIRS, row)) for row in lune]
+    deviations = [abs(t - analysis.e_closed(sign, 0.0, d)) for t, d in zip(totals, _SEPARATIONS)]
+    return _within("sum k k' P - closed", deviations, 1e-12)
 
 
 def _check_enumeration_grids():
     sign, noisy, ensemble = detectors.Sign(), detectors.StochasticSign(), detectors.EnsembleDep()
-    worst = 0.0
-    for d in np.linspace(0.0, math.pi, 100).tolist():
-        worst = max(
-            worst,
+    deviations = [
+        (
             abs(oracles.enumerate_pointlike_E(sign, d) - analysis.e_closed(sign, 0.0, d)),
             abs(oracles.enumerate_pointlike_E(noisy, d) - analysis.e_closed(noisy, 0.0, d)),
             abs(oracles.enumerate_ensemble_E(d) - analysis.e_closed(ensemble, 0.0, d)),
         )
-    return worst <= 1e-12, f"max |enumeration - closed| = {worst:.3g} (tol 1e-12)"
+        for d in _SEPARATIONS
+    ]
+    return _within("enumeration - closed", deviations, 1e-12)
 
 
 def _check_mean_preservation(rng: RngStream):
     gen = np.random.default_rng(rng.seed + 20)
-    worst_closed = 0.0
-    worst_z = 0.0
+    residuals, zs = [], []
     n = 100_000
     for i in range(20):
         ensemble = distributions.Hemisphere(
@@ -398,15 +396,15 @@ def _check_mean_preservation(rng: RngStream):
         axis = Axis(float(gen.uniform(0.0, TWO_PI)))
         mean = distributions.ensemble_mean_projection(ensemble, axis)
         p_plus, p_minus = detectors.outcome_probabilities(ensemble, axis)
-        worst_closed = max(worst_closed, abs(0.5 * p_plus - 0.5 * p_minus - mean))
+        residuals.append(abs(0.5 * p_plus - 0.5 * p_minus - mean))
         if i < 5:  # Monte Carlo spot checks
             plus = np.count_nonzero(rng.split(300 + i).uniform(n) < p_plus)
             # the +-1/2 outcomes' mean from their count (their sum is exact);
             # z against the outcome's own spread, not the sample's, which is
             # 0 when every draw agrees although p_minus is not
             diff = abs(0.5 * (2 * plus - n) / n - mean)
-            z = diff / math.sqrt(p_plus * p_minus / n) if diff > 0.0 else 0.0
-            worst_z = max(worst_z, z)
+            zs.append(diff / math.sqrt(p_plus * p_minus / n) if diff > 0.0 else 0.0)
+    worst_closed, worst_z = _worst(residuals), _worst(zs)
     ok = worst_closed <= 1e-12 and worst_z <= 5.0
     return ok, f"closed residual {worst_closed:.3g} (tol 1e-12), max |z| = {worst_z:.2f}"
 
@@ -427,10 +425,8 @@ def _plus_share(n: int, stream: RngStream) -> float:
 def _check_parameter_independence(rng: RngStream):
     # particle 1's share on the stream of each distant axis i pi/8
     n = 100_000
-    worst = 0.0
-    for i in range(8):
-        p_hat = _plus_share(n, rng.split(400 + i))
-        worst = max(worst, abs(p_hat - 0.5) / math.sqrt(0.25 / n))
+    shares = [_plus_share(n, rng.split(400 + i)) for i in range(8)]
+    worst = _worst([abs(p_hat - 0.5) / math.sqrt(0.25 / n) for p_hat in shares])
     return worst <= 5.0, f"max |z| over 8 distant axes = {worst:.2f} (tol 5 sigma)"
 
 
@@ -490,12 +486,14 @@ def run_verification(seed: int, feasibility_samples: int = 2000) -> bool:
     """Run the verification checks, print one line per check, return overall
     pass.  The last check prints the noisy-sign closed forms on a 9-point grid."""
     rng = RngStream(seed)
+    # the lune checks' one table: P(k, k') at each separation, a row each
+    lune = [[analysis.lune_probability(k, kp, d) for k, kp in _OUTCOME_PAIRS] for d in _SEPARATIONS]
     checks = [
         ("density normalization (4 jz0/j0 ratios)", _check_density_normalization),
         ("ring mean projection quadrature", _check_ring_mean),
         ("sphere moments (z^2, half-moment)", _check_sphere_moments),
-        ("lune probabilities form a simplex", _check_lune_simplex),
-        ("lune probabilities reproduce sign closed form", _check_lune_matches_sign_form),
+        ("lune probabilities form a simplex", lambda: _check_lune_simplex(lune)),
+        ("lune probabilities reproduce sign closed form", lambda: _check_lune_sign_form(lune)),
         ("enumeration oracles match closed forms", _check_enumeration_grids),
         ("ensemble outcome mean preserves projection", lambda: _check_mean_preservation(rng)),
         ("parameter independence of distant axis", lambda: _check_parameter_independence(rng)),

@@ -83,9 +83,10 @@ class ConfigDensity:
     jz0: float
 
     def __post_init__(self):
-        if self.j0 <= 0.0:
-            raise ValueError(f"j0 must be positive, got {self.j0!r}")
-        if abs(self.jz0) > self.j0:
+        # accept tests, so that NaN fails them
+        if not 0.0 < self.j0 < math.inf:
+            raise ValueError(f"j0 must be positive and finite, got {self.j0!r}")
+        if not abs(self.jz0) <= self.j0:
             raise ValueError(
                 f"|jz0| <= j0 required, got jz0={self.jz0!r}, j0={self.j0!r}"
             )
@@ -140,8 +141,7 @@ def quad_ring_mean_projection(j0: float, jz0: float, axis: Axis) -> float:
     Direct azimuthal quadrature over the ring (physical magnitude ``j0``),
     an independent check of the jz0 cos(theta) closed form.
     """
-    if j0 <= 0.0 or abs(jz0) > j0:
-        raise ValueError("need j0 > 0 and |jz0| <= j0")
+    ConfigDensity(j0, jz0)  # the one check of the ring's (j0, jz0)
     phi = (np.arange(_RING_NODES) + 0.5) * (TWO_PI / _RING_NODES)
     r = math.sqrt(max(j0**2 - jz0**2, 0.0))
     vectors = np.stack(

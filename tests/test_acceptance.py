@@ -89,9 +89,7 @@ def test_criterion_03_ensemble_model_violates_chsh():
     closed = chsh(EnsembleDep(), QUADRUPLE)
     assert closed.c_value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
     assert closed.violated
-    mc = chsh(
-        EnsembleDep(), QUADRUPLE, mode="montecarlo", n=1_000_000, rng=RngStream(104)
-    )
+    mc = chsh(EnsembleDep(), QUADRUPLE, n=1_000_000, rng=RngStream(104))
     assert mc.c_value - 2.0 >= 3.0 * mc.c_std_err
     assert mc.violated
     _passed(3, f"ensemble detector: closed C = 2*sqrt(2), MC C = {mc.c_value:.4f}")

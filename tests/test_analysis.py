@@ -275,24 +275,29 @@ class TestChsh:
         assert not result.violated
 
     def test_monte_carlo_violation_with_error_bar(self):
-        result = chsh(
-            EnsembleDep(), QUADRUPLE, mode="montecarlo", n=100_000, rng=RngStream(76)
-        )
+        # n and rng ask for Monte Carlo: no mode keyword
+        result = chsh(EnsembleDep(), QUADRUPLE, n=100_000, rng=RngStream(76))
         assert result.c_std_err is not None
         assert result.c_value > 2.0 + 3.0 * result.c_std_err
         assert result.violated
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            chsh(Sign(), QUADRUPLE, mode="exact")
-        with pytest.raises(ValueError):
-            chsh(Sign(), QUADRUPLE, mode="montecarlo")
+        # Monte Carlo needs both n and rng; either alone is an error, not
+        # a silent closed form
+        with pytest.raises(ValueError, match="both n and rng"):
+            chsh(Sign(), QUADRUPLE, n=1000)
+        with pytest.raises(ValueError, match="both n and rng"):
+            chsh(Sign(), QUADRUPLE, rng=RngStream(1))
+        with pytest.raises(ValueError, match="both n and rng"):
+            sweep_chsh(Sign(), math.pi / 4, rng=RngStream(1))
         with pytest.raises(ValueError, match="n >= 2"):  # no standard error
-            chsh(Sign(), QUADRUPLE, mode="montecarlo", n=1, rng=RngStream(1))
+            chsh(Sign(), QUADRUPLE, n=1, rng=RngStream(1))
+        with pytest.raises(TypeError):  # the keyword is retired
+            chsh(Sign(), QUADRUPLE, mode="montecarlo", n=1000, rng=RngStream(1))
 
     def test_monte_carlo_takes_one_stream_per_role(self):
         n = BLOCK + 904  # two blocks per role
-        result = chsh(EnsembleDep(), QUADRUPLE, mode="montecarlo", n=n, rng=RngStream(77))
+        result = chsh(EnsembleDep(), QUADRUPLE, n=n, rng=RngStream(77))
         es = [
             estimate_correlation(
                 EnsembleDep(), StaticSphere(), ta, tb, n, RngStream(77).split(k)
@@ -337,16 +342,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="pi/16"):
             sweep_chsh(Sign(), step)
 
-    def test_closed_sweep_splits_no_streams(self):
-        class NoSplit(RngStream):
-            __slots__ = ()
+    def test_closed_sweep_splits_no_streams(self, monkeypatch, capsys):
+        # the CLI keys the seed's stream in every mode, but a closed sweep
+        # never splits or draws from it
+        def no_draws(self, *args, **kwargs):
+            raise AssertionError("closed mode draws nothing")
 
-            def split(self, index):
-                raise AssertionError("closed mode draws nothing")
-
-        best, table = sweep_chsh(Sign(), math.pi / 4, rng=NoSplit(1))
-        assert table.c_values.size == 4**4
-        assert best.c_value == pytest.approx(2.0, abs=1e-9)
+        for name in ("split", "children", "uniform"):
+            monkeypatch.setattr(RngStream, name, no_draws)
+        assert cli.main(["sweep", "--model", "sign", "--step", "pi/4", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2 + 4**4
+        assert captured.err.startswith("max C = 2 at angles")
 
     @pytest.mark.parametrize("model", [Direct(), Sign(), StochasticSign(), EnsembleDep()])
     def test_closed_rows_equal_chsh(self, model):
@@ -366,7 +373,7 @@ class TestSweep:
         m, n = 4, BLOCK + 904  # two blocks per role
         roles = [(0, 1), (0, 3), (2, 1), (2, 3)]  # positions in (a, b, a', b')
         for model in (Direct(), Sign(), EnsembleDep(), StochasticSign()):
-            best, table = sweep_chsh(model, math.pi / m, mode="montecarlo", n=n, rng=RngStream(81))
+            best, table = sweep_chsh(model, math.pi / m, n=n, rng=RngStream(81))
             grid = table.grid
             if isinstance(model, StochasticSign):
                 # flips are drawn per axis, so an entry is not the one-pair
@@ -419,6 +426,19 @@ class TestJointTable:
             JointTable(np.full((2, 2, 2, 2), 1.0))
         with pytest.raises(ValueError):
             JointTable(np.zeros((2, 2)))
+
+    def test_non_finite_entry_rejected(self):
+        # a NaN passes no comparison, so the checks are written to accept
+        # and it fails them
+        probs = np.full((2, 2, 2, 2), 1.0 / 16.0)
+        probs[1, 0, 1, 1] = math.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointTable(probs)
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointTable(np.full((2, 2, 2, 2), math.nan))
+        probs[1, 0, 1, 1] = math.inf
+        with pytest.raises(ValueError, match="sum to 1"):
+            JointTable(probs)
 
 
 class TestFineFeasible:

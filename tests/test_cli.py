@@ -13,6 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bellsphere.analysis
+import bellsphere.detectors
+import bellsphere.distributions
 import bellsphere.oracles
 from bellsphere import (
     Axis,
@@ -444,7 +447,7 @@ class TestSweepRendering:
     @pytest.mark.parametrize("source", [StaticSphere(), RotatingHemispheres()])
     def test_monte_carlo_sweeps_match_reference(self, source, fmt):
         best, table = sweep_chsh(
-            model_from_name("ensemble"), math.pi / 4, mode="montecarlo", n=2000,
+            model_from_name("ensemble"), math.pi / 4, n=2000,
             rng=RngStream(31), source=source,
         )
         assert table.violated.any() and not table.violated.all()
@@ -605,6 +608,45 @@ class TestSequential:
         assert "mc P(+1/2)=1.000000" in result.stdout
 
 
+# (module, attribute, stand-in, the check it must fail, text its line shows):
+# a corrupted constant, and each source whose NaN a max(worst, ...) fold once
+# dropped, printing [PASS] with a worst value of 0
+CORRUPTIONS = [
+    pytest.param(
+        bellsphere.oracles, "enumerate_ensemble_E", lambda d: 0.123,
+        "enumeration oracles match closed forms", "max |enumeration - closed| = 0.", id="constant",
+    ),
+    pytest.param(
+        bellsphere.distributions, "quad_density_normalization", lambda density: math.nan,
+        "density normalization (4 jz0/j0 ratios)", "= nan", id="density-nan",
+    ),
+    pytest.param(
+        bellsphere.distributions, "quad_ring_mean_projection", lambda j0, jz0, axis: math.nan,
+        "ring mean projection quadrature", "= nan", id="ring-mean-nan",
+    ),
+    pytest.param(
+        bellsphere.oracles, "quad_expectation", lambda z_sq, half: (1.0 / 3.0, math.nan),
+        "sphere moments (z^2, half-moment)", "= nan", id="half-moment-nan",
+    ),
+    pytest.param(
+        bellsphere.analysis, "lune_probability", lambda k, kp, d: math.nan,
+        "lune probabilities form a simplex", "= nan", id="lune-simplex-nan",
+    ),
+    pytest.param(
+        bellsphere.analysis, "lune_probability", lambda k, kp, d: math.nan,
+        "lune probabilities reproduce sign closed form", "= nan", id="lune-sign-form-nan",
+    ),
+    pytest.param(
+        bellsphere.oracles, "enumerate_ensemble_E", lambda d: math.nan,
+        "enumeration oracles match closed forms", "= nan", id="enumeration-nan",
+    ),
+    pytest.param(
+        bellsphere.detectors, "outcome_probabilities", lambda ensemble, axis: (math.nan, math.nan),
+        "ensemble outcome mean preserves projection", "residual nan", id="mean-preservation-nan",
+    ),
+]
+
+
 class TestVerify:
     def test_passes_and_reports_discrepancy(self):
         result = run_cli("verify", "--seed", "5", "--feasibility-samples", "300")
@@ -693,22 +735,23 @@ class TestVerify:
 
         assert abs(peak(400_000) - peak(40_000)) <= 2**18
 
-    def test_corrupted_constant_fails_named_check(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            bellsphere.oracles, "enumerate_ensemble_E", lambda d: 0.123
-        )
+    @pytest.mark.parametrize(("module", "name", "stand_in", "check", "shown"), CORRUPTIONS)
+    def test_corrupted_constant_fails_named_check(
+        self, module, name, stand_in, check, shown, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(module, name, stand_in)
         ok = run_verification(5, feasibility_samples=50)
         captured = capsys.readouterr()
         assert not ok
-        assert "[FAIL] enumeration oracles match closed forms" in captured.out
+        line = next(x for x in captured.out.splitlines() if x.startswith(f"[FAIL] {check}: "))
+        assert shown in line
         assert "verification FAILED" in captured.out
 
-    def test_exit_code_two_on_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            bellsphere.oracles, "enumerate_ensemble_E", lambda d: 0.123
-        )
+    @pytest.mark.parametrize(("module", "name", "stand_in", "check", "shown"), CORRUPTIONS)
+    def test_exit_code_two_on_failure(self, module, name, stand_in, check, shown, monkeypatch, capsys):
+        monkeypatch.setattr(module, name, stand_in)
         code = main(["verify", "--seed", "5", "--feasibility-samples", "50"])
-        capsys.readouterr()
+        assert f"[FAIL] {check}: " in capsys.readouterr().out
         assert code == 2
 
 

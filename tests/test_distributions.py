@@ -59,6 +59,16 @@ class TestConfigDensity:
         with pytest.raises(ValueError):
             ConfigDensity(-1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "j0,jz0", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf)]
+    )
+    def test_non_finite_parameters_rejected(self, j0, jz0):
+        # a NaN passes no comparison: the checks accept rather than reject
+        with pytest.raises(ValueError):
+            ConfigDensity(j0, jz0)
+        with pytest.raises(ValueError):
+            quad_ring_mean_projection(j0, jz0, Axis(0.0))
+
     @pytest.mark.parametrize("ratio", [0.0, 0.375, 0.625, 0.99])
     def test_normalization_against_solid_angle(self, ratio):
         d = ConfigDensity(1.0, ratio)
