@@ -235,8 +235,10 @@ def chsh(
     correlations from ``n >= 2`` pairs of ``source``, role k (ab, ab', a'b,
     a'b') drawing from ``rng.split(k)``, and flags one when C exceeds 2 by
     at least three propagated standard errors.  One of the two alone raises
-    ValueError.
+    ValueError, as does an angle that is not finite.
     """
+    for t in angles:
+        Axis(t)  # the check only: the closed forms read the angles as given
     return _chsh_scan(model, [[t] for t in angles], n, rng, source)[0]
 
 
@@ -294,13 +296,20 @@ class JointTable:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (2, 2, 2, 2):
             raise ValueError(f"expected shape (2, 2, 2, 2), got {probs.shape}")
-        # the ufuncs' own reduces: min() and sum() add a Python wrapper;
-        # written as accept tests, so a NaN entry fails both
-        if not np.minimum.reduce(probs, axis=None) >= -1e-9:
-            raise ValueError("joint table entries must be nonnegative")
-        if not abs(np.add.reduce(probs, axis=None) - 1.0) <= 1e-6:
-            raise ValueError("joint table must sum to 1")
+        _check_table(probs.ravel().tolist())
         self.probs = np.maximum(probs, 0.0)
+
+
+def _check_table(values):
+    """Raises unless the floats ``values``, a table's entries (zeros may be
+    left out), are each at least -1e-9 and sum to 1 within 1e-6: accept
+    tests, and ``min`` can step over a NaN that the sum keeps, so a NaN
+    fails the first.  Python floats cost less than two reduces here."""
+    total = sum(values)
+    if not min(values) >= -1e-9 or math.isnan(total):
+        raise ValueError("joint table entries must be nonnegative")
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError("joint table must sum to 1")
 
 
 def _feasibility_matrix():
@@ -389,12 +398,19 @@ def _cone():
     return g, simplices, pinv
 
 
-def _decide(correlations, marginals, ndim) -> tuple[np.ndarray, np.ndarray]:
+def _decide(correlations, marginals, ndim) -> tuple[np.ndarray, np.ndarray | np.bool_]:
     """The one input check and decision of the feasibility routes:
-    ``correlations`` has ``ndim`` dimensions, the last of length 4, and the
-    eight ``marginals`` lie in [0, 1] and sum to 1 per observable.  Returns
-    the (k, 13) right-hand sides b = (1, correlations, marginals) and their
-    (k,) decisions min(G b) >= -1e-9 over the facets G of :func:`_cone`.
+    ``correlations`` has ``ndim`` dimensions, the last of length 4, and is
+    finite, and the eight ``marginals`` lie in [0, 1] and sum to 1 per
+    observable.  Returns the right-hand sides b = (1, correlations,
+    marginals), (13,) for ``ndim`` 1 and (k, 13) for ``ndim`` 2, and their
+    decisions min(G b) >= -1e-9 over the facets G of :func:`_cone` from the
+    one product ``b @ G.T``: a NumPy bool, or a (k,) bool array.
+
+    Finiteness is tested before the product, where a +inf beside a -inf
+    would give NaN and a floating-point warning: one vector on Python
+    floats (one sum, then each entry if the sum is not finite, as huge
+    finite entries can also make it), a batch by ``np.isfinite``.
 
     This restates on the facets the rule of the nearest nonnegative table
     (least squares over the atoms), accepted when its largest row residual
@@ -415,25 +431,32 @@ def _decide(correlations, marginals, ndim) -> tuple[np.ndarray, np.ndarray]:
     """
     es = np.asarray(correlations, dtype=float)
     p = np.asarray(marginals, dtype=float)
-    if es.ndim != ndim or es.shape[-1:] != (4,) or p.shape != (8,):
+    if es.ndim != ndim or es.shape[-1] != 4 or p.shape != (8,):
         raise ValueError("need 4 correlations and 8 marginals")
-    if not np.logical_and.reduce(np.isfinite(es), axis=None):
-        raise ValueError(_NOT_FINITE)
     values = p.tolist()
+    if ndim == 1:  # one vector: Python floats cost less than NumPy calls
+        flat = es.tolist()
+        finite = math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
+        b_eq = np.array([1.0, *flat, *values])
+    else:
+        # a 0 byte is a NaN or +-inf entry: one bytes scan, cheaper than a reduce
+        finite = b"\0" not in np.isfinite(es).tobytes()
+        b_eq = np.empty((len(es), 13))
+        b_eq[:, 0] = 1.0
+        b_eq[:, 1:5] = es
+        b_eq[:, 5:] = p
+    if not finite:
+        raise ValueError(_NOT_FINITE)
     for value in values:
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise ValueError(f"marginal out of [0, 1]: {value!r}")
-    for obs_axis, (plus, minus) in enumerate(zip(values[::2], values[1::2])):
-        if abs(plus + minus - 1.0) > 1e-9:
-            raise ValueError(
-                f"marginals for observable {obs_axis} sum to {plus + minus!r}, not 1"
-            )
-    b_eq = np.empty((es.size // 4, 13))
-    b_eq[:, 0] = 1.0
-    b_eq[:, 1:5] = es
-    b_eq[:, 5:] = p
-    # the ufunc's own reduce: min() adds a Python wrapper
-    return b_eq, np.minimum.reduce(b_eq @ _cone()[0].T, axis=1) >= -1e-9
+    pairs = iter(values)
+    for obs_axis, plus in enumerate(pairs):
+        total = plus + next(pairs)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"marginals for observable {obs_axis} sum to {total!r}, not 1")
+    # ndarray.dot and the ufunc's own reduce: @ and min() add dispatch
+    return b_eq, np.minimum.reduce(b_eq.dot(_cone()[0].T), -1) >= -1e-9
 
 
 def fine_feasible(correlations, marginals) -> tuple[bool, JointTable | None]:
@@ -453,18 +476,29 @@ def fine_feasible(correlations, marginals) -> tuple[bool, JointTable | None]:
     violated by more than the single tolerance 1e-9 (see ``_decide``).
     The witness solves b on every simplex of the cone's triangulation and
     keeps the one whose smallest coefficient is largest; coefficients still
-    negative, only for b in the band outside the cone, become 0.  NaN or
+    negative, only for b in the band outside the cone, become 0, and the
+    table is checked as :class:`JointTable` checks its input.  NaN or
     +-inf among the correlations raises ValueError.
     """
     b_eq, feasible = _decide(correlations, marginals, 1)
-    if not feasible[0]:
+    if not feasible:
         return False, None
     _, simplices, pinv = _cone()
-    xs = pinv.dot(b_eq[0]).reshape(-1, len(simplices))
-    best = np.minimum.reduce(xs, axis=0).argmax()
+    xs = pinv.dot(b_eq).reshape(-1, len(simplices))
+    smallest = np.minimum.reduce(xs)
+    best = smallest.argmax()
+    # a contiguous copy: a fancy assignment from a strided column is slower
+    coefficients = xs[:, best].copy()
+    if smallest[best] < 0.0:  # only for b in the band outside the cone
+        np.maximum(coefficients, 0.0, out=coefficients)
+    # the constructor's check on the simplex's entries: the table's other
+    # seven are zeros, which pass the first test and leave the sum as it is
+    _check_table(coefficients.tolist())
     x = np.zeros(16)
-    x[simplices[best]] = np.maximum(xs[:, best], 0.0)
-    return True, JointTable(x.reshape(2, 2, 2, 2))
+    x[simplices[best]] = coefficients
+    table = JointTable.__new__(JointTable)  # checked above, kept without a copy
+    table.probs = x.reshape(2, 2, 2, 2)
+    return True, table
 
 
 def fine_feasible_many(correlations, marginals) -> np.ndarray:

@@ -130,10 +130,11 @@ def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]
     """(P(+1/2), P(-1/2)) for an ensemble measurement along ``axis``.
 
     The probabilities are pinned by requiring the outcome average to equal
-    the ensemble's mean projection: P(+-1/2) = 1/2 +- mean.
+    the ensemble's mean projection: P(+-1/2) = 1/2 +- mean.  Both ensemble
+    families keep |mean| <= 1/2 (0 on the full sphere, s cos(b - a) / 2 on
+    a hemisphere), so both lie in [0, 1] as computed.
     """
     p_plus = 0.5 + ensemble_mean_projection(ensemble, axis)
-    p_plus = min(max(p_plus, 0.0), 1.0)
     return p_plus, 1.0 - p_plus
 
 

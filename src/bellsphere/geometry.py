@@ -98,12 +98,18 @@ class RngStream:
 
 @dataclass(frozen=True)
 class Axis:
-    """A measurement direction in the shared plane: angle from the z axis."""
+    """A measurement direction in the shared plane: angle from the z axis.
+
+    The angle must be finite (NaN and +-inf raise ValueError); it is stored
+    reduced into [0, 2 pi)."""
 
     theta: float
 
     def __post_init__(self):
-        t = float(self.theta) % TWO_PI
+        t = float(self.theta)
+        if not math.isfinite(t):
+            raise ValueError(f"axis angle must be finite, got {self.theta!r}")
+        t %= TWO_PI
         if t >= TWO_PI:  # guard the rounding edge of %
             t -= TWO_PI
         object.__setattr__(self, "theta", t)

@@ -257,6 +257,13 @@ class TestEstimateCorrelation:
         with pytest.raises(ValueError):
             estimate_correlation(Sign(), StaticSphere(), 0, 0, 0, RngStream(1))
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_rejected(self, theta):
+        # no e_hat drawn beside a NaN e_closed: the axis itself is rejected
+        for theta_a, theta_b in ((0.0, theta), (theta, 0.0)):
+            with pytest.raises(ValueError, match="axis angle must be finite"):
+                estimate_correlation(Sign(), StaticSphere(), theta_a, theta_b, 100, RngStream(1))
+
 
 class TestChsh:
     def test_ensemble_closed_reaches_quantum_bound(self):
@@ -294,6 +301,26 @@ class TestChsh:
             chsh(Sign(), QUADRUPLE, n=1, rng=RngStream(1))
         with pytest.raises(TypeError):  # the keyword is retired
             chsh(Sign(), QUADRUPLE, mode="montecarlo", n=1000, rng=RngStream(1))
+
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, slot, theta):
+        # closed and Monte Carlo alike: no c_value = nan with violated = False
+        angles = [0.0] * 4
+        angles[slot] = theta
+        for scan in (lambda: chsh(Sign(), tuple(angles)),
+                     lambda: chsh(Sign(), tuple(angles), n=100, rng=RngStream(1))):
+            with pytest.raises(ValueError, match="axis angle must be finite"):
+                scan()
+
+    def test_angles_are_read_as_given(self):
+        # the angle check leaves the values alone: an angle past 2 pi is
+        # reported as passed in, not reduced
+        angles = (0.0, 7.0, -1.0, 3.0)
+        result = chsh(Sign(), angles)
+        assert (result.a, result.b, result.a_prime, result.b_prime) == angles
+        es = [e_closed(Sign(), ta, tb) for ta, tb in pair_angles(angles)]
+        assert result.c_value == (abs(es[0] - es[1]) + abs(es[2] + es[3])) / 0.5**2
 
     def test_monte_carlo_takes_one_stream_per_role(self):
         n = BLOCK + 904  # two blocks per role
@@ -420,12 +447,15 @@ class TestJointTable:
     def test_validation(self):
         bad = np.full((2, 2, 2, 2), 1.0 / 16.0)
         bad[0, 0, 0, 0] = -0.01
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="joint table entries must be nonnegative"):
             JointTable(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="joint table must sum to 1"):
             JointTable(np.full((2, 2, 2, 2), 1.0))
         with pytest.raises(ValueError):
             JointTable(np.zeros((2, 2)))
+        bad[0, 0, 0, 0] = -1e-10  # within the -1e-9 tolerance, kept as 0
+        bad[0, 0, 0, 1] += 1.0 / 16.0
+        assert JointTable(bad).probs[0, 0, 0, 0] == 0.0
 
     def test_non_finite_entry_rejected(self):
         # a NaN passes no comparison, so the checks are written to accept
@@ -472,6 +502,14 @@ class TestFineFeasible:
             checked += 1
             assert table_correlations(table) == pytest.approx(tuple(es), abs=1e-9)
             assert table_marginals(table) == pytest.approx((0.5,) * 8, abs=1e-9)
+
+    def test_witness_is_checked_as_any_table(self, monkeypatch):
+        # kept without a copy, not unchecked: pseudo-inverses scaled by 2 give
+        # a simplex's coefficients summing to 2, which the table check refuses
+        g, simplices, pinv = analysis._cone()
+        monkeypatch.setattr(analysis, "_cone", lambda: (g, simplices, 2.0 * pinv))
+        with pytest.raises(ValueError, match="joint table must sum to 1"):
+            fine_feasible([0.0] * 4, HALF_MARGINALS)
 
     def test_decision_matches_inequality_route(self):
         gen = np.random.default_rng(12)

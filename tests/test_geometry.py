@@ -33,6 +33,12 @@ class TestAxis:
         assert Axis(-0.1).theta == pytest.approx(TWO_PI - 0.1)
         assert 0.0 <= Axis(-12.3).theta < TWO_PI
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        # NaN % 2 pi is NaN and inf % 2 pi is NaN: the angle is tested first
+        with pytest.raises(ValueError, match="axis angle must be finite"):
+            Axis(theta)
+
     def test_delta_reduces_to_half_circle(self):
         a, b = Axis(0.1), Axis(TWO_PI - 0.1)
         assert angle_delta(a.theta, b.theta) == pytest.approx(0.2, abs=1e-12)

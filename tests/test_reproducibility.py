@@ -17,6 +17,7 @@ through its float64 fallback.
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -560,15 +561,20 @@ def test_inequality_check_is_the_reference_sum():
 
 
 NON_FINITE = [
-    [float("nan"), 0.0, 0.0, 0.0],
-    [float("inf"), float("inf"), 0.0, 0.0],
-    [float("-inf"), 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, float("nan")],
+    # NaN, +inf and -inf in each of the four slots, then +inf beside -inf,
+    # whose sums in a matrix product would be NaN
+    *([value if i == slot else 0.0 for i in range(4)]
+      for value in (math.nan, math.inf, -math.inf) for slot in range(4)),
+    [math.inf, math.inf, 0.0, 0.0],
+    [math.inf, -math.inf, 0.0, 0.0],
+    [0.0, -math.inf, 0.1, math.inf],
 ]
 
 
 @pytest.mark.parametrize("es", NON_FINITE)
 def test_non_finite_correlations_are_rejected_by_both_routes(es):
+    # one bad row among finite ones; the check runs before any product, so
+    # not even a floating-point warning comes before the error
     half = [0.5] * 8
     batch = np.array([[0.0] * 4, es, [0.1] * 4])
     for decide in (
@@ -577,8 +583,20 @@ def test_non_finite_correlations_are_rejected_by_both_routes(es):
         lambda: fine_feasible(es, half),
         lambda: fine_feasible_many(batch, half),
     ):
-        with pytest.raises(ValueError, match="correlations must be finite"):
-            decide()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="correlations must be finite"):
+                decide()
+
+
+@pytest.mark.parametrize("es", [[1e308] * 4, [-1e308] * 4, [1e308, -1e308, 1e308, -1e308]])
+def test_huge_finite_correlations_are_decided_not_rejected(es):
+    # finite, so past the finiteness check, and far outside the cone
+    half = [0.5] * 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fine_feasible(es, half) == (False, None)
+        assert fine_feasible_many([[0.0] * 4, es], half).tolist() == [True, False]
 
 
 NESTED = [
@@ -657,25 +675,49 @@ def reference_witness_route(correlations, marginals, cone):
     return True, np.maximum(x.reshape(2, 2, 2, 2), 0.0)
 
 
+def coefficient_major_witness_route(correlations, marginals):
+    # the one-vector route as written on _cone's own arrays: the decision,
+    # the pseudo-inverse product, the simplex whose smallest coefficient is
+    # largest (the first of equals), its negatives set to 0, and the table's
+    # clipped copy
+    g, simplices, pinv = analysis._cone()
+    b_eq = np.array([[1.0, *np.asarray(correlations, dtype=float), *marginals]])
+    if not np.minimum.reduce(b_eq @ g.T, axis=1)[0] >= -1e-9:
+        return False, None
+    xs = pinv.dot(b_eq[0]).reshape(-1, len(simplices))
+    best = np.minimum.reduce(xs, axis=0).argmax()
+    x = np.zeros(16)
+    x[simplices[best]] = np.maximum(xs[:, best], 0.0)
+    return True, np.maximum(x.reshape(2, 2, 2, 2), 0.0)
+
+
 def test_one_vector_route_is_its_first_form():
-    # decisions and witness tables bit for bit, at the C = 2 boundary pushed
-    # inside, outside and into the 1e-9 band, and on random vectors; each
-    # decision is also the batch route's on that row
+    # decisions and witness tables bit for bit, against the route as first
+    # written and as written on _cone's coefficient-major arrays, at the
+    # C = 2 boundary pushed inside, outside and into the 1e-9 band, and on
+    # random vectors; each decision is also the batch route's on that row,
+    # in a batch of its own and among the others
     cone = reference_cone()
     gen = np.random.default_rng(27)
     half = [0.5] * 8
     cases = [
         *feasibility_cases(),
         *((es, half) for es in sign_boundary_maxima((1 - 1e-7, 1 + 1e-7, 1 - 1e-8, 1 + 1e-8,
-                                                     1 + 5e-9))),
+                                                     1 - 1e-9, 1 + 1e-9, 1 + 3e-9, 1 + 5e-9))),
         *((es, half) for es in gen.uniform(-0.25, 0.25, size=(2000, 4))),
     ]
     rows = {}
     for es, marginals in cases:
         feasible, table = fine_feasible(es, marginals)
-        want_feasible, want_probs = reference_witness_route(es, marginals, cone)
-        assert feasible is want_feasible, (es, marginals)
-        assert (table is None) if want_probs is None else same_bits(table.probs, want_probs)
+        assert fine_feasible_many([es], marginals).tolist() == [feasible], (es, marginals)
+        for want_feasible, want_probs in (reference_witness_route(es, marginals, cone),
+                                          coefficient_major_witness_route(es, marginals)):
+            assert feasible is want_feasible, (es, marginals)
+            if want_probs is None:
+                assert table is None
+            else:
+                assert same_bits(table.probs, want_probs), (es, marginals)
+                assert table.probs.flags.writeable and table.probs.flags.c_contiguous
         rows.setdefault(tuple(marginals), []).append((es, feasible))
     for marginals, decided in rows.items():
         batch = fine_feasible_many(np.array([es for es, _ in decided]), list(marginals))
