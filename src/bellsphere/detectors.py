@@ -151,6 +151,19 @@ def projection_delta_alt_form(pre: Ensemble, axis: Axis, outcome: float) -> floa
     return -2.0 * outcome * p_k
 
 
+def projection_deltas(pre: Ensemble, axis: Axis):
+    """The two bookkeepings of the projection change when ``pre`` is measured
+    along ``axis``: (outcome, post ensemble, post-minus-pre mean projection,
+    -2kP form) for the outcomes +1/2 and -1/2."""
+    pre_mean = ensemble_mean_projection(pre, axis)
+    rows = []
+    for outcome in (0.5, -0.5):
+        post = Hemisphere(axis, 1 if outcome > 0 else -1)
+        own = ensemble_mean_projection(post, axis) - pre_mean
+        rows.append((outcome, post, own, projection_delta_alt_form(pre, axis, outcome)))
+    return rows
+
+
 def sequence_outcomes(e0: Ensemble, axes, n: int, rng: RngStream):
     """Vectorized ensemble-measurement sequences: yields each step's (n,)
     outcomes in turn, drawing a step's n uniforms only as it is reached.

@@ -41,7 +41,7 @@ from bellsphere import (
     stochastic_sign_alt_form,
     sweep_chsh,
 )
-from bellsphere.cli import run_verification
+from bellsphere.verify import run_verification
 
 DELTA_GRID = [i * math.pi / 6 for i in range(7)]
 QUADRUPLE = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsphere import analysis, cli, detectors
+from bellsphere import analysis, cli, detectors, verify
 from bellsphere import (
     Axis,
     Direct,
@@ -193,12 +193,12 @@ class TestConeMemory:
         assert traced_peak(analysis._cone.__wrapped__) <= 2 * 2**20
 
     def test_verify_stays_within_the_quadrature_bound(self, capsys):
-        def verify():
+        def run():
             analysis._cone.cache_clear()
-            assert cli.run_verification(0)
+            assert verify.run_verification(0)
 
         # the sphere quadrature's one-chunk bound of tests/test_oracles.py
-        assert traced_peak(verify) <= 4 * 2**20
+        assert traced_peak(run) <= 4 * 2**20
 
 
 class TestEstimateCorrelation:

@@ -33,18 +33,20 @@ from bellsphere import (
 from bellsphere.cli import (
     CHSH_COLUMNS,
     CORRELATION_COLUMNS,
-    _check_feasibility_cross,
-    _check_mean_preservation,
-    _check_parameter_independence,
     _format_cell,
     _render,
     _sweep_chunks,
     build_parser,
     main,
     parse_angle,
-    run_verification,
 )
 from bellsphere.geometry import RngStream
+from bellsphere.verify import (
+    _check_feasibility_cross,
+    _check_mean_preservation,
+    _check_parameter_independence,
+    run_verification,
+)
 
 
 def run_cli(*args, env_extra=None):

@@ -35,7 +35,7 @@ from bellsphere import (
     angle_delta,
     measure_pair_batch,
 )
-from bellsphere import analysis, cli, detectors
+from bellsphere import analysis, detectors, verify
 from bellsphere.analysis import (
     _FEASIBILITY_MATRIX,
     _role_table,
@@ -393,7 +393,7 @@ def test_plus_share_is_the_one_batch_share(seed):
     a = Axis(0.3)
     for i, n in itertools.product(range(8), (100_000, 1, 4096, 4097, 12_345)):
         b = Axis(i * math.pi / 8)
-        got = cli._plus_share(n, rng.split(400 + i))
+        got = verify._plus_share(n, rng.split(400 + i))
         o1, _ = measure_pair_batch(EnsembleDep(), StaticSphere(), a, b, n, rng.split(400 + i))
         assert same_bits(got, np.mean(o1 > 0))
 
@@ -414,7 +414,7 @@ def test_cross_check_draws_are_per_call_draws(seed, monkeypatch):
 
     monkeypatch.setattr(analysis, "fine_feasible_many", recording_many)
     monkeypatch.setattr(analysis, "fine_feasible", recording)
-    ok, _ = cli._check_feasibility_cross(RngStream(seed), 300)
+    ok, _ = verify._check_feasibility_cross(RngStream(seed), 300)
     assert ok
     gen = np.random.default_rng(seed + 99)
     want = [gen.uniform(-0.25, 0.25, size=4) for _ in range(300)]
@@ -440,7 +440,7 @@ def test_cross_check_pieces_are_the_one_draw_vectors(seed, monkeypatch):
 
     monkeypatch.setattr(analysis, "fine_feasible_many", recording_many)
     n = 2 * BLOCK + 5
-    ok, detail = cli._check_feasibility_cross(RngStream(seed), n)
+    ok, detail = verify._check_feasibility_cross(RngStream(seed), n)
     assert ok and detail.startswith(f"{n} random vectors, 0 disagreements;")
     assert [len(batch) for batch in batches] == [BLOCK, BLOCK, 5]
     want = np.random.default_rng(seed + 99).uniform(-0.25, 0.25, size=(n, 4))
