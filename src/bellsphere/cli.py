@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     _add_seed_option(p)
-    p.add_argument("--feasibility-samples", type=_positive_int, default=2000)
+    p.add_argument("--feasibility-samples", type=_positive_int, default=verify.FEASIBILITY_SAMPLES)
     p.set_defaults(func=cmd_verify)
 
     return parser

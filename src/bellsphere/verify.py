@@ -18,6 +18,8 @@ _PIECE_PAIRS = 4096
 _SEPARATIONS = np.linspace(0.0, math.pi, 100).tolist()
 # (k, k') of the lune table's columns
 _OUTCOME_PAIRS = [(k, kp) for k in (-0.5, 0.5) for kp in (-0.5, 0.5)]
+# random vectors the feasibility cross-check decides unless told otherwise
+FEASIBILITY_SAMPLES = 2000
 
 
 def _worst(values) -> float:
@@ -177,7 +179,7 @@ def _noisy_sign_report(rng: RngStream) -> tuple[bool, str]:
     return abs(z) <= 5.0, f"monte carlo sides with the enumeration oracle (|z| = {abs(z):.2f})"
 
 
-def run_verification(seed: int, feasibility_samples: int = 2000) -> bool:
+def run_verification(seed: int, feasibility_samples: int = FEASIBILITY_SAMPLES) -> bool:
     """Run the verification checks, print one line per check, return overall
     pass.  The last check prints the noisy-sign closed forms on a 9-point grid."""
     rng = RngStream(seed)
