@@ -83,14 +83,13 @@ def _check_enumeration_grids():
 
 
 def _check_mean_preservation(rng: RngStream):
-    gen = np.random.default_rng(rng.seed + 20)
+    # each case's hemisphere axis, hemisphere sign and measured axis, in turns of 2 pi
+    cases = rng.split(350).uniform((20, 3)).tolist()
     residuals, zs = [], []
     n = 100_000
-    for i in range(20):
-        ensemble = distributions.Hemisphere(
-            Axis(float(gen.uniform(0.0, TWO_PI))), 1 if gen.uniform() < 0.5 else -1
-        )
-        axis = Axis(float(gen.uniform(0.0, TWO_PI)))
+    for i, (u_axis, u_sign, u_measured) in enumerate(cases):
+        ensemble = distributions.Hemisphere(Axis(TWO_PI * u_axis), 1 if u_sign < 0.5 else -1)
+        axis = Axis(TWO_PI * u_measured)
         mean = distributions.ensemble_mean_projection(ensemble, axis)
         p_plus, p_minus = detectors.outcome_probabilities(ensemble, axis)
         residuals.append(abs(0.5 * p_plus - 0.5 * p_minus - mean))
@@ -128,13 +127,13 @@ def _check_parameter_independence(rng: RngStream):
 
 
 def _check_feasibility_cross(rng: RngStream, samples: int):
-    gen = np.random.default_rng(rng.seed + 99)
+    stream = rng.split(600)
     marginals = [0.5] * 8
-    # the vectors are drawn and decided one piece at a time; consecutive
-    # draws of one generator are the doubles of one draw of all of them
+    # the vectors, uniform in [-1/4, 1/4)^4, are drawn and decided one piece
+    # at a time; consecutive draws of one stream are the doubles of one draw
     disagreements = 0
     for start in range(0, samples, _PIECE_PAIRS):
-        vectors = gen.uniform(-0.25, 0.25, size=(min(_PIECE_PAIRS, samples - start), 4))
+        vectors = 0.5 * stream.uniform((min(_PIECE_PAIRS, samples - start), 4)) - 0.25
         disagreements += np.count_nonzero(
             analysis.fine_feasible_many(vectors, marginals)
             != analysis.chsh_inequalities_hold(vectors)

@@ -108,7 +108,7 @@ VERIFY_RUNS = (
 )
 
 # SHA-256 over every verify run's argv and its whole stdout
-VERIFY_DIGEST = "27aa80f29abdea4901b1d876808dd0cbdd235dd1873f7e80d2c5953776430f58"
+VERIFY_DIGEST = "94a6871a0dc0a65390f8f20b521f7b8f95b074be6c66d4660c19d203317dc5ba"
 
 
 def test_golden_verify_report(capsys):
@@ -416,7 +416,8 @@ def test_cross_check_draws_are_per_call_draws(seed, monkeypatch):
     monkeypatch.setattr(analysis, "fine_feasible", recording)
     ok, _ = verify._check_feasibility_cross(RngStream(seed), 300)
     assert ok
-    gen = np.random.default_rng(seed + 99)
+    # NumPy's own uniform(-1/4, 1/4) on the stream's generator, 4 at a call
+    gen = RngStream(seed).split(600)._gen
     want = [gen.uniform(-0.25, 0.25, size=4) for _ in range(300)]
     assert len(batches) == 1 and batches[0].shape == (300, 4)
     assert all(same_bits(got, vec) for got, vec in zip(batches[0], want))
@@ -443,7 +444,7 @@ def test_cross_check_pieces_are_the_one_draw_vectors(seed, monkeypatch):
     ok, detail = verify._check_feasibility_cross(RngStream(seed), n)
     assert ok and detail.startswith(f"{n} random vectors, 0 disagreements;")
     assert [len(batch) for batch in batches] == [BLOCK, BLOCK, 5]
-    want = np.random.default_rng(seed + 99).uniform(-0.25, 0.25, size=(n, 4))
+    want = 0.5 * RngStream(seed).split(600).uniform((n, 4)) - 0.25
     assert same_bits(np.concatenate(batches), want)
 
 
