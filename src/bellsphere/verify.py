@@ -83,7 +83,8 @@ def _check_enumeration_grids():
 
 
 def _check_mean_preservation(rng: RngStream):
-    # each case's hemisphere axis, hemisphere sign and measured axis, in turns of 2 pi
+    # each case: the hemisphere's axis and the measured axis in turns of 2 pi,
+    # and the hemisphere's sign, + below 1/2
     cases = rng.split(350).uniform((20, 3)).tolist()
     residuals, zs = [], []
     n = 100_000
