@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, RngStream, angle_delta
+from .geometry import Axis, RngStream, angle_delta, uniform_of_words, word_threshold, words_below
 from .distributions import (
     Ensemble,
     Hemisphere,
@@ -98,7 +98,9 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
     """Outcomes of a point-like detector for the projections ``p`` (an array
     of any shape) of the measured vectors onto the detector's axis.
 
-    ``rng`` is only consumed by StochasticSign, one flip draw per projection.
+    ``rng`` is only consumed by StochasticSign, one flip draw per projection,
+    compared as a double: the float rule that :func:`role_sums` decides on
+    the flips' words.
     """
     if isinstance(model, EnsembleDep):
         raise TypeError(
@@ -111,19 +113,15 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
     if isinstance(model, StochasticSign):
         if rng is None:
             raise ValueError("StochasticSign needs an RngStream")
-        _flip(plus, rng.uniform(plus.shape), model.p_hi)
+        np.equal(plus, rng.uniform(plus.shape) < model.p_hi, out=plus)
     return np.subtract(plus, 0.5)
 
 
-def ensemble_plus1(draws) -> np.ndarray:
-    """Particle 1's +1/2 mask from (n, 2) ensemble pair draws: full sphere, u1 < 1/2."""
-    return draws[:, 0] < 0.5
-
-
-def _flip(plus, flips, p_hi: float):
-    """StochasticSign's +1/2 mask from its sign mask ``plus`` (overwritten):
-    the sign is kept where the flip draw is below ``p_hi``."""
-    return np.equal(plus, flips < p_hi, out=plus)
+def ensemble_plus1(words) -> np.ndarray:
+    """The +1/2 mask of a full-sphere ensemble measurement (particle 1 of a
+    pair, the first step of a sequence) from the words of its draws:
+    u < 1/2, a top-bit test."""
+    return words_below(words, word_threshold(0.5))
 
 
 def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]:
@@ -170,19 +168,28 @@ def sequence_outcomes(e0: Ensemble, axes, n: int, rng: RngStream):
 
     Exploits that after the first measurement every trial's ensemble is a
     hemisphere about the current axis, so the per-trial state reduces to a
-    sign.
+    sign: a trial reads +1/2 where its uniform is below 1/2 + o c, for its
+    last outcome o and the cosine c between the two axes.  Each draw is
+    decided on its word against the thresholds of the step's two
+    probabilities, 0 and 1 included when c = +-1.
     """
     if isinstance(e0, Hemisphere):
-        cur_theta, outcomes = e0.axis.theta, np.full(n, 0.5 * e0.sign)
+        cur_theta, plus = e0.axis.theta, np.full(n, e0.sign > 0)
     else:
-        cur_theta, outcomes = None, None
+        cur_theta, plus = None, None
     for axis in axes:
+        words = rng.words(n)
         if cur_theta is None:
-            p_plus = np.full(n, 0.5)
+            plus = ensemble_plus1(words)
         else:
-            p_plus = 0.5 + outcomes * math.cos(angle_delta(cur_theta, axis.theta))
-        outcomes = np.subtract(rng.uniform(n) < p_plus, 0.5)
-        yield outcomes
+            c = math.cos(angle_delta(cur_theta, axis.theta))
+            plus = np.where(
+                plus,
+                words_below(words, word_threshold(0.5 + 0.5 * c)),
+                words_below(words, word_threshold(0.5 - 0.5 * c)),
+            )
+        del words  # a step holds no draws while its outcomes are read
+        yield np.subtract(plus, 0.5)
         cur_theta = axis.theta
 
 
@@ -248,46 +255,79 @@ def role_sums(model, source, axes_a, axes_b, n: int, streams):
     axis.  A chunk of as many whole blocks as keep its (m_a + m_b)
     projections per pair within _CHUNK_VALUES, and at least one, is
     measured at once: each block draws its pairs, then StochasticSign's
-    (m_a + m_b, size) flips, straight into its slice of buffers that serve
-    every chunk, and a pair's y, z and signs depend on its own draws only."""
+    (m_a + m_b, size) flips, into its slice of buffers that serve every
+    chunk, and a pair's y, z and signs depend on its own draws only.
+
+    Draws that are only compared with a probability, EnsembleDep's pairs
+    and StochasticSign's flips, are taken as words (:meth:`RngStream.words`):
+    EnsembleDep's fill a (2, chunk) buffer, particle 1's row and then
+    particle 2's (see :func:`_ensemble_sums`), and StochasticSign's are
+    decided as they are drawn into a (m_a + m_b, chunk) mask of the signs
+    kept, where the flip's double is below p_hi, by the role's one
+    :func:`geometry.word_threshold`."""
     m = len(axes_a) + len(axes_b)
     chunk = _BLOCK_PAIRS * max(1, _CHUNK_VALUES // (_BLOCK_PAIRS * m))
-    draws = np.empty((min(n, chunk), 2 if isinstance(model, EnsembleDep) else draw_width(source)))
-    flips = np.empty(m * len(draws)) if isinstance(model, StochasticSign) else None
+    width, ensemble, kept = min(n, chunk), isinstance(model, EnsembleDep), None
+    if ensemble:
+        draws, u2 = np.empty((2, width), dtype=np.uint64), np.empty(width)
+        # particle 2 occupies the opposite hemisphere about a_i, and reads
+        # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
+        cuts = [
+            [(0.5 * (1.0 - c), 0.5 * (1.0 + c)) for c in row]
+            for row in ([math.cos(angle_delta(x.theta, y.theta)) for y in axes_b] for x in axes_a)
+        ]
+    else:
+        draws = np.empty((width, draw_width(source)))
+    if isinstance(model, StochasticSign):
+        kept, keep_below = np.empty((m, width), dtype=bool), word_threshold(model.p_hi)
     for first in range(0, n, chunk):
         size = min(chunk, n - first)
         bounds = [0, *range(_BLOCK_PAIRS, size, _BLOCK_PAIRS), size]
         for (start, stop), stream in zip(itertools.pairwise(bounds), streams):
+            if ensemble:
+                draws[:, start:stop] = stream.words((stop - start, 2)).T
+                continue
             stream.uniform((stop - start, draws.shape[1]), out=draws[start:stop])
-            if flips is not None:
-                stream.uniform((m, stop - start), out=flips[m * start:m * stop].reshape(m, -1))
-        yield from _chunk_sums(model, source, axes_a, axes_b, draws[:size], flips, bounds)
+            if kept is not None:
+                words_below(stream.words((m, stop - start)), keep_below, out=kept[:, start:stop])
+        if ensemble:
+            yield _ensemble_sums(draws[:, :size], u2[:size], cuts)
+        else:
+            yield from _chunk_sums(model, source, axes_a, axes_b, draws[:size], kept, bounds)
 
 
-def _chunk_sums(model, source, axes_a, axes_b, draws, flips, bounds):
-    """(s, s2) tables of one chunk of ``draws``, blocks between ``bounds``:
-    one per block for ``Direct``, which sums each block's own float64
-    products in pair order along a contiguous row, and one for the chunk for
-    the +-1/2 models, which count the pairs whose outcomes (from the signs
-    of :func:`_signs`) disagree: sums of +-1/4 products are multiples of
-    1/16 far below 2^51, exact in any grouping."""
-    m_a, n = len(axes_a), len(draws)
-    if isinstance(model, EnsembleDep):
-        # u2 is copied out of the draws: compares on a contiguous copy are
-        # cheaper than on the strided column, and there are 2 m_a m_b of them
-        plus1, u2 = ensemble_plus1(draws), draws[:, 1].copy()
-        minus1 = ~plus1
-        # particle 2 occupies the opposite hemisphere about a_i, and reads
-        # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
-        disagree = [
-            [
-                np.count_nonzero(plus1 & (u2 >= 0.5 * (1.0 - c)))
-                + np.count_nonzero(minus1 & (u2 < 0.5 * (1.0 + c)))
-                for c in (math.cos(angle_delta(x.theta, y.theta)) for y in axes_b)
-            ]
-            for x in axes_a
+def _ensemble_sums(words, u2, cuts):
+    """EnsembleDep's (s, s2) tables of one chunk from its (2, n) pair words,
+    by counting the pairs whose outcomes disagree (as :func:`_chunk_sums`
+    does for the other +-1/2 models).  Particle 1 is decided on its word,
+    a top-bit test.  Particle 2's draw meets two thresholds per axis pair,
+    the floats (1 - c) / 2 and (1 + c) / 2 of ``cuts``: a uint64 compare
+    costs about twice a float64 one, so its words are turned into their
+    doubles once, into ``u2`` (:func:`geometry.uniform_of_words`)."""
+    plus1 = ensemble_plus1(words[0])
+    minus1 = ~plus1
+    u2 = uniform_of_words(words[1], out=u2)
+    # outcomes disagree where o1 = +1/2 and u2 >= (1 - c) / 2, and where
+    # o1 = -1/2 and u2 < (1 + c) / 2
+    disagree = [
+        [
+            np.count_nonzero(plus1 & (u2 >= low)) + np.count_nonzero(minus1 & (u2 < high))
+            for low, high in row
         ]
-        return [_quarter_sums(disagree, n)]
+        for row in cuts
+    ]
+    return _quarter_sums(disagree, len(u2))
+
+
+def _chunk_sums(model, source, axes_a, axes_b, draws, kept, bounds):
+    """(s, s2) tables of a point-like model's chunk of ``draws``, blocks
+    between ``bounds``: one per block for ``Direct``, which sums each
+    block's own float64 products in pair order along a contiguous row, and
+    one for the chunk for the +-1/2 models, which count the pairs whose
+    outcomes (from the signs of :func:`_signs`, each kept where StochasticSign's
+    mask ``kept`` is set and flipped elsewhere) disagree: sums of +-1/4
+    products are multiples of 1/16 far below 2^51, exact in any grouping."""
+    m_a, n = len(axes_a), len(draws)
     if isinstance(model, Direct):
         y, z = pair_yz(source, draws, np.sin, np.cos)
         p1, p2 = _projections(y, z, axes_a, []), _projections(y, z, [], axes_b)
@@ -303,10 +343,8 @@ def _chunk_sums(model, source, axes_a, axes_b, draws, flips, bounds):
                 s2[k, i] = prod[:, start:stop].sum(axis=-1)
         return list(zip(s, s2))
     plus = _signs(source, draws, axes_a, axes_b)
-    if flips is not None:
-        m = len(plus)
-        for start, stop in itertools.pairwise(bounds):
-            _flip(plus[:, start:stop], flips[m * start:m * stop].reshape(m, -1), model.p_hi)
+    if kept is not None:
+        np.equal(plus, kept[:, :n], out=plus)
     return [_quarter_sums([[np.count_nonzero(r != q) for q in plus[m_a:]] for r in plus[:m_a]], n)]
 
 
@@ -324,7 +362,7 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     """
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
-        plus1, u2 = ensemble_plus1(draws), draws[:, 1]
+        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1]
         c = math.cos(angle_delta(a.theta, b.theta))
         plus2 = (plus1 & (u2 < 0.5 * (1.0 - c))) | (~plus1 & (u2 < 0.5 * (1.0 + c)))
         return np.subtract(plus1, 0.5), np.subtract(plus2, 0.5)

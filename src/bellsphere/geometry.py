@@ -11,7 +11,6 @@ bit-reproducible for a given seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,19 +19,30 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+# splitmix64: the golden increment, then the finalizer's (shift, multiplier)
+# steps and its last shift, a bijective 64-bit mixer
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+_LAST = np.uint64(31)
+# the double of a Philox word keeps the word's top 53 bits
+_WORD_SHIFT = np.uint64(11)
 
 
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer: a bijective 64-bit mixer
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
-
-
-def _derive_stream_id(parent: int, index: int) -> int:
-    return _mix64(parent ^ ((index + 1) * _GOLDEN))
+def _derive_stream_ids(parent: int, first: int, count: int) -> list[int]:
+    """The ids of the child streams ``first``, ..., ``first + count - 1`` of
+    stream ``parent``: splitmix64's finalizer of parent ^ ((index + 1) *
+    golden), in one uint64 pass whose products wrap mod 2^64."""
+    x = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    x *= _GOLDEN
+    x ^= np.uint64(parent)
+    for shift, multiplier in _MIX:
+        x ^= x >> shift
+        x *= multiplier
+    x ^= x >> _LAST
+    return x.tolist()
 
 
 class RngStream:
@@ -45,6 +55,12 @@ class RngStream:
     draws from a stream of its own (see :meth:`split`).  A loop over many
     units walks the child streams with :meth:`children`, which re-keys one
     generator instead of building one per unit.
+
+    :meth:`uniform` gives doubles and :meth:`words` the raw 64-bit words
+    behind them, from one sequence: the double of word w is
+    (w >> 11) 2^-53.  A draw that is only compared with a probability can
+    be decided on its word by :func:`word_threshold`, with the outcome of
+    its double and no drawn bit changed.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -63,6 +79,12 @@ class RngStream:
         into ``out`` (C-contiguous, of that shape) when given: the same bits."""
         return self._gen.random(size, out=out)
 
+    def words(self, size):
+        """The raw uint64 words, of shape ``size``, of the next draws: those
+        :meth:`uniform` would turn into its doubles, from the same state, so
+        calls of the two continue one sequence."""
+        return self._gen.bit_generator.random_raw(size)
+
     def split(self, index: int) -> "RngStream":
         """Independent child stream for work unit ``index``.
 
@@ -70,7 +92,7 @@ class RngStream:
         stream a Monte Carlo block draws from depends only on the seed and
         the block's position.
         """
-        return RngStream(self.seed, _derive_stream_id(self.stream_id, index))
+        return RngStream(self.seed, _derive_stream_ids(self.stream_id, index, 1)[0])
 
     def children(self):
         """The child streams ``split(0)``, ``split(1)``, ... in turn.
@@ -79,21 +101,66 @@ class RngStream:
         child is valid only until the next one is taken.  Each draws the
         same bits as a fresh ``split(index)``, whatever was drawn before:
         re-keying sets the state ``Philox(key=(seed, child id))`` starts in,
-        counter 0 and an empty output buffer (``buffer_pos`` 4 of 4).
+        counter 0 and an empty output buffer (``buffer_pos`` 4 of 4), from
+        one state dict whose key alone changes.  The ids are derived in
+        batches that double from 16 to 1024 indices.
         """
-        child = self.split(0)
-        yield child
-        for index in itertools.count(1):
-            child.stream_id = _derive_stream_id(self.stream_id, index)
-            child._gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": (0, 0, 0, 0), "key": (self.seed, child.stream_id)},
-                "buffer": (0, 0, 0, 0),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield child
+        child = RngStream(self.seed, self.stream_id)
+        bit_generator = child._gen.bit_generator
+        philox = {"counter": (0, 0, 0, 0), "key": None}
+        state = {
+            "bit_generator": "Philox",
+            "state": philox,
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        first, count = 0, 16
+        while True:
+            for stream_id in _derive_stream_ids(self.stream_id, first, count):
+                child.stream_id = stream_id
+                philox["key"] = (self.seed, stream_id)
+                bit_generator.state = state
+                yield child
+            first, count = first + count, min(2 * count, 1024)
+
+
+def word_threshold(p: float) -> int:
+    """The threshold that decides ``uniform() < p`` on the draw's word: for
+    every word w of :meth:`RngStream.words` and the double u = (w >> 11)
+    2^-53 that :meth:`RngStream.uniform` makes of it, u < p exactly when
+    w < word_threshold(p) (and u >= p exactly when it is not).
+
+    For 0 < p < 1 it is ceil(p 2^53) 2^11: p 2^53 is exact, a power-of-two
+    scaling, and the integer w >> 11 is below it exactly when it is below
+    its ceiling, that is when w is below the ceiling times 2^11.  No double
+    is below p <= 0 (or NaN), threshold 0, and every one is below p >= 1,
+    threshold 2^64, which no uint64 holds: compare through
+    :func:`words_below`, which branches on it.
+    """
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 64
+    return math.ceil(p * 2.0**53) << 11
+
+
+def uniform_of_words(words, out) -> np.ndarray:
+    """The doubles (w >> 11) 2^-53 that :meth:`RngStream.uniform` makes of
+    uint64 ``words``, written into the float64 ``out``; ``words`` serves as
+    scratch and is left shifted."""
+    np.right_shift(words, _WORD_SHIFT, out=words)
+    return np.multiply(words, 2.0**-53, out=out)
+
+
+def words_below(words, threshold: int, out=None) -> np.ndarray:
+    """The mask w < ``threshold`` of uint64 ``words``, written into ``out``
+    when given, for a threshold from :func:`word_threshold`: at 2^64 every
+    word, as every word is at most 2^64 - 1."""
+    if threshold > _MASK64:
+        return np.less_equal(words, np.uint64(_MASK64), out=out)
+    return np.less(words, np.uint64(threshold), out=out)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import analysis, detectors, distributions, oracles
-from .geometry import TWO_PI, Axis, RngStream, project
+from .geometry import TWO_PI, Axis, RngStream, project, word_threshold, words_below
 
 # rows per draw of the parameter-independence and feasibility cross-checks
 _PIECE_PAIRS = 4096
@@ -95,7 +95,10 @@ def _check_mean_preservation(rng: RngStream):
         p_plus, p_minus = detectors.outcome_probabilities(ensemble, axis)
         residuals.append(abs(0.5 * p_plus - 0.5 * p_minus - mean))
         if i < 5:  # Monte Carlo spot checks
-            plus = np.count_nonzero(rng.split(300 + i).uniform(n) < p_plus)
+            # the draws below p_plus, each decided on its word
+            plus = np.count_nonzero(
+                words_below(rng.split(300 + i).words(n), word_threshold(p_plus))
+            )
             # the +-1/2 outcomes' mean from their count (their sum is exact);
             # z against the outcome's own spread, not the sample's, which is
             # 0 when every draw agrees although p_minus is not
@@ -108,14 +111,15 @@ def _check_mean_preservation(rng: RngStream):
 
 def _plus_share(n: int, stream: RngStream) -> float:
     """Share of ``n`` ensemble pairs whose particle 1 reads +1/2, counted
-    from the draws :func:`detectors.measure_pair_batch` takes, by the
-    detector's own rule, which reads neither axis.  The pairs are drawn from
-    ``stream`` one piece at a time; consecutive pieces of one stream are the
-    doubles one draw of ``n`` pairs would be."""
+    from the words of the pair draws that :func:`detectors.role_sums` takes,
+    by the detector's own rule (:func:`detectors.ensemble_plus1`), which
+    reads neither axis.  The pairs are drawn from ``stream`` one piece at a
+    time; consecutive pieces of one stream are the words one draw of ``n``
+    pairs would be."""
     plus = 0
     for start in range(0, n, _PIECE_PAIRS):
-        draws = stream.uniform((min(_PIECE_PAIRS, n - start), 2))
-        plus += np.count_nonzero(detectors.ensemble_plus1(draws))
+        words = stream.words((min(_PIECE_PAIRS, n - start), 2))
+        plus += np.count_nonzero(detectors.ensemble_plus1(words[:, 0]))
     return plus / n
 
 

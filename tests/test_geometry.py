@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 from bellsphere import (
     Axis,
     RngStream,
+    StochasticSign,
     angle_delta,
     project,
     quad_expectation,
     sample_sphere,
 )
+from bellsphere.geometry import uniform_of_words, word_threshold, words_below
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,3 +144,108 @@ class TestSampleSphere:
             p_hat = float(np.mean(project(j, Axis(theta)) > 0))
             assert abs(p_hat - 0.5) <= 5.0 * math.sqrt(0.25 / len(j))
 
+
+
+def splitmix_child_id(parent, index):
+    # the child-id hash restated on Python ints: splitmix64's finalizer of
+    # parent ^ ((index + 1) * golden), every product taken mod 2^64
+    mask = (1 << 64) - 1
+    x = (parent ^ ((index + 1) * 0x9E3779B97F4A7C15)) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+class TestChildIds:
+    @pytest.mark.parametrize("seed, stream_id", [(7, 0), (0, 2**64 - 1), (2**63 + 5, 12345)])
+    def test_split_and_children_derive_the_splitmix_ids(self, seed, stream_id):
+        # 5,000 indices: children derives its ids in batches of 16, 32, ...,
+        # 1024, so the walk crosses several batch boundaries
+        rng = RngStream(seed, stream_id)
+        want = [splitmix_child_id(stream_id, i) for i in range(5000)]
+        assert [rng.split(i).stream_id for i in range(5000)] == want
+        walked = [child.stream_id for child, _ in zip(rng.children(), range(5000))]
+        assert walked == want
+
+
+# probabilities at and around the exact edges of the word rule: 0, the
+# smallest subnormal, one double step, both sides of 1/2, the largest double
+# below 1, and 1
+EDGE_PROBABILITIES = [
+    0.0, 2.0**-1074, 2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0,
+]
+
+
+def rule_probabilities():
+    # the edges, the default p_hi, particle 2's (1 -+ cos d) / 2 on the pi/16
+    # grid and 1,000 random probabilities
+    grid = [math.cos(angle_delta(0.0, k * math.pi / 16)) for k in range(32)]
+    return [
+        *EDGE_PROBABILITIES,
+        StochasticSign().p_hi,
+        *(0.5 * (1.0 - c) for c in grid),
+        *(0.5 * (1.0 + c) for c in grid),
+        *np.random.default_rng(33).random(1000).tolist(),
+    ]
+
+
+def double_of(words):
+    # the double NumPy's Philox Generator makes of a word: its top 53 bits
+    # times 2^-53 (the contract TestWords pins on NumPy itself)
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+class TestWords:
+    @pytest.mark.parametrize("key", [(0, 0), (1, 0), (7, 2**64 - 1), (2**64 - 1, 12345)])
+    def test_numpy_doubles_are_the_top_53_bits_of_philox_words(self, key):
+        # the word rule rests on this NumPy implementation detail: random()
+        # of a Philox Generator is (random_raw() >> 11) * 2^-53, from one
+        # buffered sequence, so words and doubles interleave in one order
+        key = np.array(key, dtype=np.uint64)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(10_001)
+        words = np.random.Philox(key=key).random_raw(10_001)
+        assert doubles.tobytes() == double_of(words).tobytes()
+        converted = uniform_of_words(words.copy(), out=np.empty(len(words)))
+        assert converted.tobytes() == doubles.tobytes()
+        stream = RngStream(int(key[0]), int(key[1]))
+        got, at = [], 0
+        for size, as_words in ((3, True), (5, False), (1, True), (4096, False), (9, True)):
+            part = stream.words(size) if as_words else stream.uniform(size)
+            want = words[at:at + size]
+            got.append(part.tobytes() == (want if as_words else double_of(want)).tobytes())
+            at += size
+        assert all(got)
+        assert stream.words((2, 3)).shape == (2, 3)
+        assert stream.words((2, 3)).dtype == np.uint64
+
+    def test_thresholds_decide_what_the_doubles_decide(self):
+        # twin streams, 10^5 draws each: words on one and doubles on the other
+        words, doubles = RngStream(33, 1).words(100_000), RngStream(33, 1).uniform(100_000)
+        for p in rule_probabilities():
+            got = words_below(words, word_threshold(p))
+            assert got.tobytes() == (doubles < p).tobytes(), p
+            assert (~got).tobytes() == (doubles >= p).tobytes(), p
+
+    def test_words_on_each_side_of_a_threshold(self):
+        # the last word below each threshold, the threshold, and the last
+        # word whose double equals the threshold's
+        for p in rule_probabilities():
+            threshold = word_threshold(p)
+            crafted = [threshold - 1, threshold, threshold + 2**11 - 1]
+            words = np.array([w for w in crafted if 0 <= w < 2**64], dtype=np.uint64)
+            got = words_below(words, threshold)
+            assert got.tolist() == (double_of(words) < p).tolist(), p
+
+    def test_edges_of_the_rule(self):
+        # p <= 0 (and NaN) is never met, p >= 1 always: 2^64 fits no uint64, so
+        # words_below reads it as a branch, into ``out`` as well
+        assert [word_threshold(p) for p in (-1.0, 0.0, math.nan)] == [0, 0, 0]
+        assert [word_threshold(p) for p in (1.0, 2.0, math.inf)] == [2**64] * 3
+        assert word_threshold(0.5) == 2**63  # particle 1's rule: the top bit
+        assert word_threshold(2.0**-1074) == 2**11
+        assert word_threshold(1.0 - 2.0**-53) == 2**64 - 2**11
+        words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert words_below(words, 0).tolist() == [False] * 4
+        out = np.zeros(4, dtype=bool)
+        assert words_below(words, 2**64, out=out) is out
+        assert out.tolist() == [True] * 4

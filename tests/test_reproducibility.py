@@ -27,6 +27,7 @@ from bellsphere import (
     Axis,
     Direct,
     EnsembleDep,
+    Hemisphere,
     RngStream,
     RotatingHemispheres,
     Sign,
@@ -259,6 +260,75 @@ class TestKernelAgainstReference:
         want = y * sin_t
         want += z * cos_t
         assert same_bits(detectors._projections(y, z, axes[:m_a], axes[m_a:]), want)
+
+
+# -- the word rule's edges against the float rule ------------------------------
+
+
+def float_rule_role_sums(model, source, axes_a, axes_b, n, streams):
+    # the reference kernel as role_sums' stand-in: every draw a double, each
+    # block's sums on its own stream
+    for start, stream in zip(range(0, n, BLOCK), streams):
+        yield reference_sums(model, source, axes_a, axes_b, min(BLOCK, n - start), stream)
+
+
+def float_rule_sequence(e0, axes, n, rng):
+    # sequence_outcomes with each step's doubles compared with 1/2 + o c
+    if isinstance(e0, Hemisphere):
+        theta, outcomes = e0.axis.theta, np.full(n, 0.5 * e0.sign)
+    else:
+        theta = None
+    for axis in axes:
+        if theta is None:
+            p_plus = np.full(n, 0.5)
+        else:
+            p_plus = 0.5 + outcomes * math.cos(angle_delta(theta, axis.theta))
+        outcomes = np.where(rng.uniform(n) < p_plus, 0.5, -0.5)
+        yield outcomes
+        theta = axis.theta
+
+
+def stdout_rows(capsys, argv):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("# generated_at"))
+
+
+WORD_EDGE_RUNS = [
+    # p_hi = 1 keeps every sign (threshold 2^64), p_hi = 1/2 is the top bit
+    ["correlate", "--model", "stochastic", "--p-hi", "1", "--theta-a", "0", "--theta-b", "1",
+     "--trials", "9001"],
+    ["correlate", "--model", "stochastic", "--p-hi", "0.5", "--theta-a", "0", "--theta-b", "0",
+     "--trials", "5000", "--source", "rotating"],
+    ["chsh", "--model", "stochastic", "--p-hi", "1", "--mode", "montecarlo",
+     "--angles", "0,pi/4,pi/2,3pi/4", "--trials", "5000"],
+    # cos d = +-1: particle 2's thresholds are 0 and 2^64
+    ["correlate", "--model", "ensemble", "--theta-a", "pi/3", "--theta-b", "pi/3",
+     "--trials", "20000"],
+    ["correlate", "--model", "ensemble", "--theta-a", "0", "--theta-b", "pi", "--trials", "20000"],
+    ["sweep", "--model", "ensemble", "--mode", "montecarlo", "--step", "pi/4", "--trials", "3000"],
+]
+SEQUENTIAL_EDGE_RUNS = [
+    # consecutive axes equal or opposite: 1/2 + o c is 0 or 1
+    ["sequential", "--axes", "0,0,pi,pi", "--trials", "5000"],
+    ["sequential", "--axes", "0,0,pi,pi", "--trials", "5000", "--initial", "sphere"],
+    ["sequential", "--axes", "pi,0,0,pi/2", "--trials", "5000", "--initial-sign", "-1"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", WORD_EDGE_RUNS, ids=lambda argv: " ".join(argv[:3]))
+def test_word_rule_edges_print_the_float_rule(argv, fmt, capsys, monkeypatch):
+    got = stdout_rows(capsys, [*argv, "--format", fmt])
+    monkeypatch.setattr(analysis, "role_sums", float_rule_role_sums)
+    assert stdout_rows(capsys, [*argv, "--format", fmt]) == got
+
+
+@pytest.mark.parametrize("argv", SEQUENTIAL_EDGE_RUNS, ids=lambda argv: " ".join(argv[:5]))
+def test_sequential_edges_print_the_float_rule(argv, capsys, monkeypatch):
+    got = stdout_rows(capsys, argv)
+    monkeypatch.setattr(detectors, "sequence_outcomes", float_rule_sequence)
+    assert stdout_rows(capsys, argv) == got
 
 
 # -- the +-1/2 models' float32 screen -------------------------------------------
