@@ -85,6 +85,18 @@ def parse_angle_list(text: str) -> list[float]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -7 and -.5 for numbers, other tokens led by a -
+        # for options: a signed angle (-pi/4, -3pi/8, -1e-3) is a value
+        self._negative_number_matcher = re.compile(r"-(?:[\d.]|pi)", re.IGNORECASE)
+
+    def _get_values(self, action, arg_strings):
+        # before Python 3.13, argparse stores --option=-- as an empty list
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
     # argparse exits 2 on usage errors by default; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -114,7 +126,9 @@ def _row_format(columns, fmt: str):
 
         labels = [f'\n    "{column}": ' for column in columns]
         return cell, labels, "  {", "\n  }", ",\n", "[\n", "\n]\n"
-    return _format_cell, [""] * len(columns), "", "", "\n", _csv_head(columns), "\n"
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    opening = f"# generated_at={stamp}\n{','.join(columns)}\n"
+    return _format_cell, [""] * len(columns), "", "", "\n", opening, "\n"
 
 
 def _render(columns, rows, fmt: str) -> str:
@@ -125,11 +139,6 @@ def _render(columns, rows, fmt: str) -> str:
         for row in rows
     )
     return opening + separator.join(lines) + closing
-
-
-def _csv_head(columns) -> str:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# generated_at={stamp}\n{','.join(columns)}\n"
 
 
 def _emit(chunks, output_path: Path | None) -> None:

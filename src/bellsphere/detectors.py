@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, RngStream, angle_delta, uniform_of_words, word_threshold, words_below
+from .geometry import Axis, RngStream, uniform_of_words, word_threshold, words_below
 from .distributions import (
     Ensemble,
+    FullSphere,
     Hemisphere,
     PairSource,
     draw_width,
@@ -35,6 +36,7 @@ from .distributions import (
 _DOUBT = 2.0**-14  # float32-screened projections this close to 0 are redone; see _signs
 _BLOCK_PAIRS = 4096  # pairs per Monte Carlo block, each block on its own stream
 _CHUNK_VALUES = 32_768  # projections per Monte Carlo chunk; see role_sums
+_SPHERE, _ANY_AXIS = FullSphere(), Axis(0.0)  # particle 1's ensemble, and an axis to read it on
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,9 @@ def measure_pointlike(model: DetectorModel, p, rng: RngStream | None = None):
     return np.subtract(plus, 0.5)
 
 
-def ensemble_plus1(words) -> np.ndarray:
-    """The +1/2 mask of a full-sphere ensemble measurement (particle 1 of a
-    pair, the first step of a sequence) from the words of its draws:
-    u < 1/2, a top-bit test."""
-    return words_below(words, word_threshold(0.5))
-
-
 def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]:
-    """(P(+1/2), P(-1/2)) for an ensemble measurement along ``axis``.
+    """(P(+1/2), P(-1/2)) for an ensemble measurement along ``axis``: the
+    ensemble detector's one outcome law, read by every draw of its outcomes.
 
     The probabilities are pinned by requiring the outcome average to equal
     the ensemble's mean projection: P(+-1/2) = 1/2 +- mean.  Both ensemble
@@ -134,6 +130,20 @@ def outcome_probabilities(ensemble: Ensemble, axis: Axis) -> tuple[float, float]
     """
     p_plus = 0.5 + ensemble_mean_projection(ensemble, axis)
     return p_plus, 1.0 - p_plus
+
+
+def ensemble_plus1(words) -> np.ndarray:
+    """The +1/2 mask of particle 1's full-sphere measurement from the words
+    of its draws: the full sphere's P(+1/2) is the same along every axis,
+    so one threshold decides them all."""
+    p_plus, _ = outcome_probabilities(_SPHERE, _ANY_AXIS)
+    return words_below(words, word_threshold(p_plus))
+
+
+def _partner_ensembles(a: Axis) -> tuple[Hemisphere, Hemisphere]:
+    """Particle 2's ensembles after particle 1 reads +1/2, -1/2 along ``a``:
+    conservation, j2 = -j1, leaves it the opposite hemisphere."""
+    return Hemisphere(a, -1), Hemisphere(a, 1)
 
 
 def projection_delta_alt_form(pre: Ensemble, axis: Axis, outcome: float) -> float:
@@ -166,31 +176,18 @@ def sequence_outcomes(e0: Ensemble, axes, n: int, rng: RngStream):
     """Vectorized ensemble-measurement sequences: yields each step's (n,)
     outcomes in turn, drawing a step's n uniforms only as it is reached.
 
-    Exploits that after the first measurement every trial's ensemble is a
-    hemisphere about the current axis, so the per-trial state reduces to a
-    sign: a trial reads +1/2 where its uniform is below 1/2 + o c, for its
-    last outcome o and the cosine c between the two axes.  Each draw is
-    decided on its word against the thresholds of the step's two
-    probabilities, 0 and 1 included when c = +-1.
+    A trial's ensemble is ``e0`` before the first step, then the hemisphere
+    about the last axis on its last outcome's side: one of two, so each
+    draw is decided on its word against the two ensembles' thresholds.
     """
-    if isinstance(e0, Hemisphere):
-        cur_theta, plus = e0.axis.theta, np.full(n, e0.sign > 0)
-    else:
-        cur_theta, plus = None, None
+    ensembles, plus = (e0, e0), np.ones(n, dtype=bool)
     for axis in axes:
         words = rng.words(n)
-        if cur_theta is None:
-            plus = ensemble_plus1(words)
-        else:
-            c = math.cos(angle_delta(cur_theta, axis.theta))
-            plus = np.where(
-                plus,
-                words_below(words, word_threshold(0.5 + 0.5 * c)),
-                words_below(words, word_threshold(0.5 - 0.5 * c)),
-            )
+        high, low = (word_threshold(outcome_probabilities(e, axis)[0]) for e in ensembles)
+        plus = np.where(plus, words_below(words, high), words_below(words, low))
         del words  # a step holds no draws while its outcomes are read
         yield np.subtract(plus, 0.5)
-        cur_theta = axis.theta
+        ensembles = (Hemisphere(axis, 1), Hemisphere(axis, -1))
 
 
 def _projections(y, z, axes_a, axes_b) -> np.ndarray:
@@ -258,23 +255,22 @@ def role_sums(model, source, axes_a, axes_b, n: int, streams):
     (m_a + m_b, size) flips, into its slice of buffers that serve every
     chunk, and a pair's y, z and signs depend on its own draws only.
 
-    Draws that are only compared with a probability, EnsembleDep's pairs
-    and StochasticSign's flips, are taken as words (:meth:`RngStream.words`):
-    EnsembleDep's fill a (2, chunk) buffer, particle 1's row and then
-    particle 2's (see :func:`_ensemble_sums`), and StochasticSign's are
-    decided as they are drawn into a (m_a + m_b, chunk) mask of the signs
-    kept, where the flip's double is below p_hi, by the role's one
-    :func:`geometry.word_threshold`."""
+    Draws that are only compared with a probability are taken as words
+    (:meth:`RngStream.words`): EnsembleDep's pairs fill a (2, chunk)
+    buffer, particle 1's row and then particle 2's (see
+    :func:`_ensemble_sums`), and StochasticSign's flips are decided as they
+    are drawn into a (m_a + m_b, chunk) mask of the signs kept, where the
+    flip's double is below p_hi, by the role's one threshold."""
     m = len(axes_a) + len(axes_b)
     chunk = _BLOCK_PAIRS * max(1, _CHUNK_VALUES // (_BLOCK_PAIRS * m))
     width, ensemble, kept = min(n, chunk), isinstance(model, EnsembleDep), None
     if ensemble:
         draws, u2 = np.empty((2, width), dtype=np.uint64), np.empty(width)
-        # particle 2 occupies the opposite hemisphere about a_i, and reads
-        # +1/2 where u2 < (1 -+ cos(b_j - a_i)) / 2 for o1 = +-1/2
+        # particle 2 reads +1/2 along b_j where u2 is below its ensemble's
+        # P(+1/2), one cut for each outcome o1 = +-1/2 along a_i
         cuts = [
-            [(0.5 * (1.0 - c), 0.5 * (1.0 + c)) for c in row]
-            for row in ([math.cos(angle_delta(x.theta, y.theta)) for y in axes_b] for x in axes_a)
+            [tuple(outcome_probabilities(e, b)[0] for e in partners) for b in axes_b]
+            for partners in map(_partner_ensembles, axes_a)
         ]
     else:
         draws = np.empty((width, draw_width(source)))
@@ -299,16 +295,16 @@ def role_sums(model, source, axes_a, axes_b, n: int, streams):
 def _ensemble_sums(words, u2, cuts):
     """EnsembleDep's (s, s2) tables of one chunk from its (2, n) pair words,
     by counting the pairs whose outcomes disagree (as :func:`_chunk_sums`
-    does for the other +-1/2 models).  Particle 1 is decided on its word,
-    a top-bit test.  Particle 2's draw meets two thresholds per axis pair,
-    the floats (1 - c) / 2 and (1 + c) / 2 of ``cuts``: a uint64 compare
-    costs about twice a float64 one, so its words are turned into their
-    doubles once, into ``u2`` (:func:`geometry.uniform_of_words`)."""
+    does for the other +-1/2 models).  Particle 1 is decided on its word
+    (:func:`ensemble_plus1`).  Particle 2's draw meets two thresholds per
+    axis pair, the P(+1/2) pairs of ``cuts``: a uint64 compare costs about
+    twice a float64 one, so its words are turned into their doubles once,
+    into ``u2`` (:func:`geometry.uniform_of_words`)."""
     plus1 = ensemble_plus1(words[0])
     minus1 = ~plus1
     u2 = uniform_of_words(words[1], out=u2)
-    # outcomes disagree where o1 = +1/2 and u2 >= (1 - c) / 2, and where
-    # o1 = -1/2 and u2 < (1 + c) / 2
+    # outcomes disagree where o1 = +1/2 and particle 2 reads -1/2 (u2 at or
+    # above the first cut), and where o1 = -1/2 and it reads +1/2
     disagree = [
         [
             np.count_nonzero(plus1 & (u2 >= low)) + np.count_nonzero(minus1 & (u2 < high))
@@ -362,9 +358,9 @@ def measure_pair_batch(model: DetectorModel, source: PairSource, a, b, n: int, r
     """
     if isinstance(model, EnsembleDep):
         draws = rng.uniform((n, 2))
-        plus1, u2 = draws[:, 0] < 0.5, draws[:, 1]
-        c = math.cos(angle_delta(a.theta, b.theta))
-        plus2 = (plus1 & (u2 < 0.5 * (1.0 - c))) | (~plus1 & (u2 < 0.5 * (1.0 + c)))
+        plus1 = draws[:, 0] < outcome_probabilities(_SPHERE, a)[0]
+        low, high = (outcome_probabilities(e, b)[0] for e in _partner_ensembles(a))
+        plus2 = np.where(plus1, draws[:, 1] < low, draws[:, 1] < high)
         return np.subtract(plus1, 0.5), np.subtract(plus2, 0.5)
     y, z = sample_pair(source, rng, n)
     p1, p2 = _projections(y, z, [a], []), _projections(y, z, [], [b])

@@ -158,16 +158,10 @@ def _check_feasibility_cross(rng: RngStream, samples: int):
 
 
 def _noisy_sign_report(rng: RngStream) -> tuple[bool, str]:
-    enumerated = oracles.enumerate_pointlike_E(detectors.StochasticSign(), 0.0)
+    noisy, sphere = detectors.StochasticSign(), distributions.StaticSphere()
+    enumerated = oracles.enumerate_pointlike_E(noisy, 0.0)
     alt = analysis.stochastic_sign_alt_form(0.0, 0.0)
-    record = analysis.estimate_correlation(
-        detectors.StochasticSign(),
-        distributions.StaticSphere(),
-        0.0,
-        0.0,
-        400_000,
-        rng.split(500),
-    )
+    record = analysis.estimate_correlation(noisy, sphere, 0.0, 0.0, 400_000, rng.split(500))
     z = (record.e_hat - enumerated) / record.std_err
     print(
         "noisy-sign closed forms at delta=0: "
@@ -177,7 +171,7 @@ def _noisy_sign_report(rng: RngStream) -> tuple[bool, str]:
     print("  delta      oracle        alt form")
     for d in np.linspace(0.0, math.pi, 9):
         print(
-            f"  {float(d):8.5f}  {oracles.enumerate_pointlike_E(detectors.StochasticSign(), float(d)):+11.8f}"
+            f"  {float(d):8.5f}  {oracles.enumerate_pointlike_E(noisy, float(d)):+11.8f}"
             f"  {analysis.stochastic_sign_alt_form(0.0, float(d)):+11.8f}"
         )
     return abs(z) <= 5.0, f"monte carlo sides with the enumeration oracle (|z| = {abs(z):.2f})"

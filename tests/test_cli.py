@@ -8,10 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bellsphere.analysis
 import bellsphere.detectors
@@ -33,6 +35,10 @@ from bellsphere import (
 from bellsphere.cli import (
     CHSH_COLUMNS,
     CORRELATION_COLUMNS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
     _format_cell,
     _render,
     _sweep_chunks,
@@ -40,6 +46,7 @@ from bellsphere.cli import (
     main,
     parse_angle,
 )
+from bellsphere.detectors import MODELS
 from bellsphere.geometry import RngStream
 from bellsphere.verify import (
     _check_feasibility_cross,
@@ -118,6 +125,43 @@ class TestParseAngle:
         for text in ("nan", "inf", "-inf"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_angle(text)
+
+
+# runs whose angles are signed: each option and its value as two tokens, and
+# as one joined by "="
+NEGATIVE_ANGLE_RUNS = [
+    (["correlate", "--model", "ensemble", "--trials", "1000"],
+     {"--theta-a": "-pi/4", "--theta-b": "-3pi/8"}),
+    (["correlate", "--model", "sign", "--trials", "1000"],
+     {"--theta-a": "-1e-3", "--theta-b": "-PI"}),
+    (["chsh", "--model", "sign"], {"--angles": "-pi/4,0,pi/4,-1e-3"}),
+    (["sequential", "--initial", "sphere", "--trials", "1000"], {"--axes": "-pi/3,0"}),
+    (["sequential", "--axes", "0,pi/3", "--trials", "1000"], {"--initial-axis": "-3pi/8"}),
+]
+
+
+class TestNegativeAngles:
+    @pytest.mark.parametrize(
+        ("base", "angles"),
+        NEGATIVE_ANGLE_RUNS,
+        ids=[" ".join(base + [*angles]) for base, angles in NEGATIVE_ANGLE_RUNS],
+    )
+    def test_separate_tokens_print_the_joined_form(self, base, angles, capsys):
+        def printed(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines(keepends=True)
+            return "".join(x for x in lines if not x.startswith("# generated_at"))
+
+        separate = [*base, *itertools.chain.from_iterable(angles.items())]
+        joined = [*base, *(f"{option}={value}" for option, value in angles.items())]
+        assert printed(separate) == printed(joined)
+
+    def test_negative_seed_is_still_the_range_error(self, capsys):
+        argv = ["correlate", "--model", "sign", "--theta-a", "-pi/4", "--theta-b", "0"]
+        assert main([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be in [0, 2^64), got -1" in captured.err
 
 
 class TestCorrelate:
@@ -815,3 +859,153 @@ def test_no_command_loads_scipy():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+# -- one input and output contract for every command ---------------------------
+
+_MALFORMED = st.sampled_from(["", " ", "-", "--", "abc", "1/0", "pi/", "2pi/3/4", "0x10", "1e999"])
+
+
+def _pi_form(numerators, denominators):
+    return st.builds(
+        "{}{}pi{}".format,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(numerators),
+        st.sampled_from(denominators),
+    )
+
+
+def _angles(angle, sizes):
+    return st.lists(angle, min_size=sizes[0], max_size=sizes[1]).map(",".join)
+
+
+def _count(low, high):
+    return st.integers(low, high).map(str), st.one_of(
+        st.integers(-2, low - 1).map(str), _MALFORMED, st.just("1.5")
+    )
+
+
+# each option's values: (valid, invalid); an invalid value may still parse
+_ANGLE = (
+    st.one_of(
+        st.floats(-10.0, 10.0).map(repr),  # signed, tiny and zero
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),  # huge
+        _pi_form(["", "0", "1", "3", "0.5"], ["", "/2", "/4", "/8", "/3"]),
+    ),
+    st.one_of(
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309"]),
+        _pi_form(["", "7" * 400], ["/0", "/", "/0.0"]),
+        _MALFORMED,
+    ),
+)
+_MODEL = {
+    "--model": (st.sampled_from(list(MODELS)), st.sampled_from(["laser", "", "Sign"])),
+    "--p-hi": (
+        st.floats(0.5, 1.0).map(repr),
+        st.one_of(st.floats().map(repr), _MALFORMED),
+    ),
+    "--source": (st.sampled_from(["sphere", "rotating"]), st.sampled_from(["Sphere", ""])),
+}
+_SEED = (
+    st.integers(0, 2**64 - 1).map(str),
+    st.one_of(st.integers(-(2**70), -1).map(str), st.integers(2**64, 2**70).map(str), _MALFORMED),
+)
+_RUN = {"--seed": _SEED, "--trials": _count(2, 3000)}  # a few thousand trials at most
+_OUTPUT = {
+    "--out": (st.just("{tmp}/out.txt"), st.sampled_from(["{tmp}/missing/out.txt", "{tmp}"])),
+    "--format": (st.sampled_from(["csv", "json"]), st.just("xml")),
+}
+_MODE = {"--mode": (st.sampled_from(["closed", "montecarlo"]), st.just("exact"))}
+GRAMMAR = {
+    "correlate": {**_MODEL, "--theta-a": _ANGLE, "--theta-b": _ANGLE, **_RUN, **_OUTPUT},
+    "chsh": {
+        **_MODEL,
+        "--angles": (_angles(_ANGLE[0], (4, 4)), _angles(st.one_of(*_ANGLE), (0, 5))),
+        **_MODE,
+        **_RUN,
+        **_OUTPUT,
+    },
+    "sweep": {
+        **_MODEL,
+        "--step": (
+            st.sampled_from(["pi", "pi/2", "pi/4", "pi/8", "pi/16", "0.785398163397448"]),
+            st.one_of(*_ANGLE, st.just("pi/32")),
+        ),
+        **_MODE,
+        **_RUN,
+        **_OUTPUT,
+    },
+    "sequential": {
+        "--axes": (_angles(_ANGLE[0], (1, 6)), _angles(st.one_of(*_ANGLE), (0, 3))),
+        "--initial": (st.sampled_from(["hemisphere", "sphere"]), st.just("ring")),
+        "--initial-axis": _ANGLE,
+        "--initial-sign": (st.sampled_from(["1", "-1", "+1"]), st.sampled_from(["0", "2", "x"])),
+        **_RUN,
+    },
+    "verify": {"--seed": _SEED, "--feasibility-samples": _count(1, 40)},
+}
+_STRAY = [*GRAMMAR, "--bogus", *{option for options in GRAMMAR.values() for option in options}]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, valid) for one command: each of its options most of the time,
+    with a value drawn from its grammar, valid most of the time, as two
+    tokens or joined by "=", and now and then a stray token.  ``valid``
+    holds when every option is given a valid value and no token strays."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv, valid = [command], True
+    for option, (good, bad) in GRAMMAR[command].items():
+        kind = draw(st.integers(0, 19))  # 0: left out, 1: invalid, else valid
+        valid = valid and kind > 1
+        if kind:
+            value = draw(bad if kind == 1 else good)
+            argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    if not draw(st.integers(0, 19)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_STRAY)))
+        valid = False
+    return argv, valid
+
+
+def _printed_rows(text, fmt):
+    # exit 0: JSON parses strictly, and every CSV row has the header's cells
+    if fmt == "json":
+        assert isinstance(strict_json(text), list)
+        return
+    header, *rows = data_rows(text)
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+@example((["correlate", "--model", "ensemble", "--theta-a", "-pi/4", "--theta-b", "pi/4"], True))
+@example((["chsh", "--model", "sign", "--angles", "-3pi/8,0,pi/4,1", "--format", "json"], True))
+@example((["sequential", "--axes", "-1e-05,0", "--initial-axis", "-pi/4", "--trials", "99"], True))
+@example((["chsh", "--model", "stochastic", "--p-hi=--", "--angles", "0,0,0,0"], False))
+@example((["sweep", "--model", "sign", "--step", "pi/4", "--seed", "-1"], False))
+@example((["verify", "--feasibility-samples", "20"], True))
+def test_every_command_keeps_the_io_contract(case):
+    """Exit 0 prints strict JSON or whole CSV rows, exit 2 is a verify
+    report, and any other exit prints nothing on stdout and an error, not a
+    traceback, on stderr; an argv of valid values exits 0 (verify: or 2)."""
+    argv, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.replace("{tmp}", tmp) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == EXIT_OK:
+            args = build_parser().parse_args(argv)
+            if hasattr(args, "fmt"):
+                _printed_rows(out if args.out is None else args.out.read_text(), args.fmt)
+        elif code == EXIT_VERIFY:
+            assert argv[0] == "verify" and "verification FAILED" in out
+        else:
+            assert not valid, err
+            assert code in (EXIT_USAGE, EXIT_IO), code
+            assert out == ""
+            assert "error:" in err and "Traceback" not in err

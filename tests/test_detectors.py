@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellsphere import detectors
 from bellsphere import (
     Axis,
     Direct,
@@ -27,6 +28,7 @@ from bellsphere import (
     sequence_outcomes,
     v_max,
 )
+from bellsphere.geometry import uniform_of_words, word_threshold, words_below
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -306,3 +308,66 @@ class TestMeasurePair:
         )
         assert float(np.max(np.abs(o1))) <= 1.0
         assert float(np.max(np.abs(o2))) <= 1.0
+
+
+def visibility_law(ensemble, axis):
+    # a Werner-state dial at q = 0.6: P(+1/2) = 1/2 + 0.6 mean
+    p_plus = 0.5 + 0.6 * ensemble_mean_projection(ensemble, axis)
+    return p_plus, 1.0 - p_plus
+
+
+class TestOneHomeOfTheLaw:
+    """Every draw of an ensemble outcome reads ``outcome_probabilities``:
+    swapped for a law of visibility 0.6, each reader follows it."""
+
+    AXES_A = [Axis(0.4), Axis(2.0)]
+    AXES_B = [Axis(0.0), Axis(1.1), Axis(3.5)]
+
+    def test_role_sums_cut_at_the_law(self, monkeypatch):
+        monkeypatch.setattr(detectors, "outcome_probabilities", visibility_law)
+        n, streams = 9001, iter([RngStream(70, i) for i in range(3)])
+        # one table per chunk; sums of +-1/4 are exact in any grouping
+        s = sum(t for t, _ in detectors.role_sums(
+            EnsembleDep(), StaticSphere(), self.AXES_A, self.AXES_B, n, streams
+        ))
+        # the same words, block by block, recounted against the law's cuts
+        words = np.concatenate(
+            [RngStream(70, i).words((min(4096, n - 4096 * i), 2)) for i in range(3)]
+        )
+        u = uniform_of_words(words, out=np.empty(words.shape))
+        plus1 = u[:, 0] < 0.5
+        for i, a in enumerate(self.AXES_A):
+            for j, b in enumerate(self.AXES_B):
+                low = visibility_law(Hemisphere(a, -1), b)[0]
+                high = visibility_law(Hemisphere(a, 1), b)[0]
+                plus2 = np.where(plus1, u[:, 1] < low, u[:, 1] < high)
+                assert 0.25 * (n - 2 * np.count_nonzero(plus1 != plus2)) == s[i, j]
+
+    @pytest.mark.parametrize(
+        "e0", [Hemisphere(Axis(0.3), -1), FullSphere()], ids=["minus", "sphere"]
+    )
+    def test_sequence_outcomes_read_the_law(self, e0, monkeypatch):
+        monkeypatch.setattr(detectors, "outcome_probabilities", visibility_law)
+        axes, n = [Axis(t) for t in (0.3, 1.1, 4.0, 0.2)], 5000
+        steps = sequence_outcomes(e0, axes, n, RngStream(71))
+        rng, ensembles = RngStream(71), [e0] * n
+        for axis, outcomes in zip(axes, steps):
+            p_plus = [visibility_law(e, axis)[0] for e in ensembles]
+            words = rng.words(n)
+            plus = [words_below(w, word_threshold(p)) for w, p in zip(words, p_plus)]
+            assert np.array_equal(outcomes, np.subtract(plus, 0.5))
+            ensembles = [Hemisphere(axis, 1 if k else -1) for k in plus]
+
+    def test_measure_pair_batch_reads_the_law(self, monkeypatch):
+        monkeypatch.setattr(detectors, "outcome_probabilities", visibility_law)
+        n = 5000
+        for a in self.AXES_A:
+            for b in self.AXES_B:
+                o1, o2 = measure_pair_batch(EnsembleDep(), StaticSphere(), a, b, n, RngStream(72))
+                u = RngStream(72).uniform((n, 2))
+                plus1 = u[:, 0] < visibility_law(FullSphere(), a)[0]
+                low = visibility_law(Hemisphere(a, -1), b)[0]
+                high = visibility_law(Hemisphere(a, 1), b)[0]
+                plus2 = np.where(plus1, u[:, 1] < low, u[:, 1] < high)
+                assert np.array_equal(o1, np.subtract(plus1, 0.5))
+                assert np.array_equal(o2, np.subtract(plus2, 0.5))
